@@ -194,6 +194,8 @@ int main(int argc, char** argv) {
 
   core::TuningProfile recommended = core::TuningProfile::production();
   recommended.name = "advisor-recommended";
+  // The sweeps below tune the row path's batch and array sizes.
+  recommended.columnar_ingest = false;
 
   std::printf("batch-size sweep (array 1000):\n");
   double best = 1e18;

@@ -52,7 +52,9 @@ struct BulkLoaderOptions {
   // vectorized block parse into arena-backed column batches, batches sent
   // through Session::execute_column_batch. Identical final state and error
   // accounting to the row path (the differential tests hold both to that);
-  // off by default, wired by TuningProfile::columnar_ingest.
+  // off in a default-constructed BulkLoaderOptions (the row path the
+  // paper's figure benches load through), on in
+  // TuningProfile::production().bulk_options().
   bool columnar_ingest = false;
   // Data lines consumed per parse_block call on the columnar path.
   int64_t parse_block_rows = 512;

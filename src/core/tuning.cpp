@@ -15,6 +15,7 @@ TuningProfile TuningProfile::untuned_2004() {
   TuningProfile profile;
   profile.name = "untuned-2004";
   profile.bulk = false;
+  profile.columnar_ingest = false;  // 2004: row-at-a-time inserts
   profile.batch_size = 1;
   profile.array_size = 250;
   profile.parallel_degree = 2;
@@ -84,12 +85,15 @@ BulkLoaderOptions TuningProfile::bulk_options() const {
 }
 
 std::string TuningProfile::describe() const {
+  // The sizes the loaders actually use.
+  const BulkLoaderOptions loader = bulk_options();
   return str_format(
       "%s: %s%s, batch=%lld, array=%lld, parallel=%d (%s), commits=%s, "
       "indexes[htmid=%s composite=%s], %s, cache=%lld pages, %s input",
       name.c_str(), bulk ? "bulk" : "non-bulk",
       columnar_ingest ? " (columnar)" : "",
-      static_cast<long long>(batch_size), static_cast<long long>(array_size),
+      static_cast<long long>(loader.batch_size),
+      static_cast<long long>(loader.array_config.default_rows),
       parallel_degree, dynamic_assignment ? "dynamic" : "static",
       commit.describe().c_str(),
       maintain_htmid_index ? "on" : "off",

@@ -96,6 +96,28 @@ void ColumnBatch::push_str(size_t col, std::string_view v) {
   ++c.length;
 }
 
+bool ColumnBatch::push_row(const Row& row) {
+  if (row.size() != columns_.size()) return false;
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (!row[c].matches(columns_[c].type)) return false;
+  }
+  for (size_t c = 0; c < row.size(); ++c) {
+    const Value& value = row[c];
+    if (value.is_null()) {
+      push_null(c);
+    } else if (value.is_i32()) {
+      push_i64(c, value.as_i32());
+    } else if (value.is_i64()) {
+      push_i64(c, value.as_i64());
+    } else if (value.is_f64()) {
+      push_f64(c, value.as_f64());
+    } else {
+      push_str(c, value.as_str());
+    }
+  }
+  return true;
+}
+
 void ColumnBatch::set_i64(size_t col, size_t row, int64_t v) {
   assert(integer_family(col));
   Column& c = columns_[col];

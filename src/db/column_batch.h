@@ -57,6 +57,10 @@ class ColumnBatch {
   void push_i64(size_t col, int64_t v);
   void push_f64(size_t col, double v);
   void push_str(size_t col, std::string_view v);
+  // Append a whole materialized row. Returns false, appending nothing, when
+  // the row's arity or a cell's kind does not fit the column types (WAL
+  // replay rebuilds logged runs as batches with this).
+  bool push_row(const Row& row);
   // In-place update of an existing numeric cell (htmid fill-in, magnitude
   // rounding); clears the null flag.
   void set_i64(size_t col, size_t row, int64_t v);

@@ -382,9 +382,55 @@ BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
   return result;
 }
 
+// Everything the run path encodes for one sub-run before the destination's
+// index latch is taken exclusive: the sub-run's primary keys (strictly
+// increasing), the validation screen's verdict, the heap bytes and the
+// kInsertBatch payload of every row that passed the screen, and each
+// enabled secondary index's key prefixes (HTM trixel ids included) with
+// their sort order. The latched window only trims these to the rows that
+// survive the PK merge and the FK probes.
+struct Engine::ColumnRun {
+  // Secondary-index keys minus the row-id suffix, which exists only once
+  // the heap has assigned slots; `order` sorts the run by (prefix, row).
+  struct SecondaryKeys {
+    size_t index = 0;
+    std::vector<std::string> prefixes;
+    std::vector<uint32_t> order;
+  };
+  size_t rows = 0;                    // sub-run length
+  std::vector<std::string> pk_keys;   // one per row, strictly increasing
+  size_t valid = 0;                   // rows before the first screen reject
+  std::optional<Status> invalid;      // the reject at `valid`, if any
+  std::vector<std::string> row_bytes;             // rows [0, valid)
+  std::string wal_payload;                        // rows [0, valid)
+  std::vector<size_t> wal_ends;  // payload offset past row i
+  std::vector<SecondaryKeys> secondaries;
+};
+
+bool Engine::column_run_eligible(const Table& table, uint32_t tid,
+                                 const ColumnBatch& batch) const {
+  // A run settles every constraint before it appends, so it needs the
+  // batch's column layout to match the table, no enabled unique secondary
+  // index (a run row may collide with a later run row on a non-PK key), and
+  // no self-referential FK (a run row may parent a later run row). Those
+  // tables take the row-at-a-time path.
+  if (batch.num_columns() != table.def().columns.size()) return false;
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    if (batch.column_type(c) != table.def().columns[c].type) return false;
+  }
+  for (const SecondaryIndex& secondary : table.secondaries()) {
+    if (secondary.enabled && secondary.def.unique) return false;
+  }
+  for (const uint32_t parent_id : table.fk_parent_ids) {
+    if (parent_id == tid) return false;
+  }
+  return true;
+}
+
 BatchResult Engine::insert_column_batch(uint64_t txn_id, uint32_t tid,
                                         const ColumnBatch& batch, size_t first,
-                                        size_t count) {
+                                        size_t count,
+                                        std::optional<uint32_t> extent_override) {
   BatchResult result;
   Transaction* txn = find_transaction(txn_id);
   if (txn == nullptr) {
@@ -410,55 +456,43 @@ BatchResult Engine::insert_column_batch(uint64_t txn_id, uint32_t tid,
     return result;
   }
   const TableAdmission admission = *admitted;
+  const uint32_t extent = extent_override.value_or(admission.extent);
   result.costs.lock_wait_ns += lock_shared_timed(engine_mu_);
   std::shared_lock<std::shared_mutex> engine_lock(engine_mu_, std::adopt_lock);
   {
     const CostScope scope(&result.costs);
     const storage::CacheEvents cache_before = cache_.events();
-    Table& table = tables_[tid];
-
-    // Fast-path eligibility. A batch whose column layout matches the table,
-    // whose primary keys arrive strictly increasing, and whose table has no
-    // enabled unique secondary index can settle every constraint up front
-    // under one exclusive index-latch window; anything else goes through the
-    // row-at-a-time path (identical semantics, no speedup). Self-referential
-    // FKs also stay on the row path: a run row may parent a later run row,
-    // which needs interleaved insert-then-check.
-    bool fast = count > 0 && batch.num_columns() == table.def().columns.size();
-    for (size_t c = 0; fast && c < batch.num_columns(); ++c) {
-      fast = batch.column_type(c) == table.def().columns[c].type;
-    }
-    for (const SecondaryIndex& secondary : table.secondaries()) {
-      if (secondary.enabled && secondary.def.unique) fast = false;
-    }
-    for (const uint32_t parent_id : table.fk_parent_ids) {
-      if (parent_id == tid) fast = false;
-    }
-    std::vector<std::string> pk_keys;
-    if (fast) {
-      pk_keys.reserve(count);
-      index::KeyEncoder encoder;
-      for (size_t i = 0; i < count; ++i) {
-        for (const int idx : table.pk_column_indices()) {
-          batch.append_cell_to_key(encoder, first + i,
-                                   static_cast<size_t>(idx));
-        }
-        pk_keys.push_back(encoder.take());
-        encoder.clear();
-        if (i > 0 && pk_keys[i - 1] >= pk_keys[i]) {
-          fast = false;  // not presorted: fall back
+    const Table& table = tables_[tid];
+    if (column_run_eligible(table, tid, batch)) {
+      // Split the batch into sub-runs: each ends where the primary keys stop
+      // increasing or at the cap, whichever comes first, and is settled
+      // under one exclusive index-latch window. The cap starts at
+      // kFirstSubRunRows and grows by the rows applied so far (64, 128, 256,
+      // ... on a clean batch), so the encoding done past a reject is never
+      // more than the rows this call applied plus the first cap.
+      size_t done = 0;
+      while (done < count) {
+        ColumnRun run;
+        prepare_column_run(table, batch, first + done,
+                           std::min(kFirstSubRunRows + done, count - done),
+                           run, result.costs);
+        std::optional<Status> failure;
+        const size_t applied = insert_column_run_latched(
+            *txn, tid, batch, first + done, run, extent, result.costs,
+            failure);
+        done += applied;
+        if (failure.has_value()) {
+          // The failing row is the first one the sub-run did not apply.
+          result.error = BatchError{done, std::move(*failure)};
+          ++result.costs.constraint_failures;
           break;
         }
       }
-    }
-    if (fast) {
-      insert_column_run_latched(*txn, tid, batch, first, count,
-                                std::move(pk_keys), admission.extent, result);
+      result.rows_applied = static_cast<int64_t>(done);
     } else {
       for (size_t i = 0; i < count; ++i) {
-        const Status status =
-            insert_row_latched(*txn, tid, batch.row(first + i), result.costs,
-                               admission.extent);
+        const Status status = insert_row_latched(
+            *txn, tid, batch.row(first + i), result.costs, extent);
         if (!status.is_ok()) {
           result.error = BatchError{i, status};
           ++result.costs.constraint_failures;
@@ -480,19 +514,31 @@ BatchResult Engine::insert_column_batch(uint64_t txn_id, uint32_t tid,
   return result;
 }
 
-void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
-                                       const ColumnBatch& batch, size_t first,
-                                       size_t count,
-                                       std::vector<std::string> pk_keys,
-                                       uint32_t extent, BatchResult& result) {
-  Table& table = tables_[tid];
+void Engine::prepare_column_run(const Table& table, const ColumnBatch& batch,
+                                size_t first, size_t max_rows, ColumnRun& run,
+                                OpCosts& costs) const {
   const TableDef& def = table.def();
 
-  // Columnar validation screen (no latch — immutable schema only): find the
-  // earliest row any validation rule rejects. The exact error status comes
-  // from validate_row on that one materialized row, so messages and rule
-  // ordering within the row match the row path bit for bit.
-  size_t bad_row = count;
+  // Primary keys up to the cap, stopping where they stop increasing: that
+  // row opens the next sub-run.
+  run.pk_keys.reserve(max_rows);
+  index::KeyEncoder encoder;
+  for (size_t i = 0; i < max_rows; ++i) {
+    for (const int idx : table.pk_column_indices()) {
+      batch.append_cell_to_key(encoder, first + i, static_cast<size_t>(idx));
+    }
+    std::string key = encoder.take();
+    encoder.clear();
+    if (i > 0 && run.pk_keys.back() >= key) break;
+    run.pk_keys.push_back(std::move(key));
+  }
+  run.rows = run.pk_keys.size();
+
+  // Columnar validation screen: find the earliest row any validation rule
+  // rejects. The exact error status comes from validate_row on that one
+  // materialized row, so messages and rule ordering within the row match
+  // the row path bit for bit.
+  size_t bad_row = run.rows;
   for (size_t c = 0; c < def.columns.size(); ++c) {
     const ColumnDef& column = def.columns[c];
     if (!column.nullable) {
@@ -535,55 +581,107 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
       }
     }
   }
-  size_t limit = count;
-  std::optional<BatchError> failure;
-  if (bad_row < count) {
+  run.valid = bad_row;
+  if (bad_row < run.rows) {
     OpCosts scratch;
-    const Status status = validate_row(table, batch.row(first + bad_row),
-                                       scratch);
-    failure = BatchError{
-        bad_row, status.is_ok()
-                     ? Status(ErrorCode::kInternal,
-                              def.name + ": batch validation screen mismatch")
-                     : status};
-    limit = bad_row;
+    const Status status =
+        validate_row(table, batch.row(first + bad_row), scratch);
+    run.invalid = status.is_ok()
+                      ? Status(ErrorCode::kInternal,
+                               def.name + ": batch validation screen mismatch")
+                      : status;
   }
-  result.costs.check_evals +=
-      static_cast<int64_t>((limit + (failure.has_value() ? 1 : 0)) *
+  costs.check_evals +=
+      static_cast<int64_t>((run.valid + (run.invalid.has_value() ? 1 : 0)) *
                            (def.columns.size() + def.checks.size()));
 
-  // Metadata latch shared for the run, index latch exclusive for the whole
-  // constraint-settle + publish window — the one-latch analogue of the row
-  // path's phase 1/3 pair (no pending/publish handshake needed: nothing can
-  // race between check and publish while we hold it).
-  result.costs.lock_wait_ns += lock_shared_timed(table.latch());
-  const std::shared_lock<std::shared_mutex> table_latch(table.latch(),
-                                                        std::adopt_lock);
-  result.costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
-  const std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
-                                                        std::adopt_lock);
-
-  // Primary-key uniqueness: one forward merge of the sorted run against the
-  // tree's leaf chain instead of count point probes.
-  if (limit > 0) {
-    index::BPlusTree::Iterator it = table.pk_tree().seek(pk_keys[0]);
-    for (size_t i = 0; i < limit; ++i) {
-      while (it.valid() && it.key() < pk_keys[i]) it.next();
-      if (it.valid() && it.key() == pk_keys[i]) {
-        failure = BatchError{
-            i, Status(ErrorCode::kConstraintPrimaryKey,
-                      def.name + ": duplicate primary key " +
-                          row_to_display(batch.row(first + i)))};
-        limit = i;
-        break;
-      }
-    }
+  // Heap bytes and the kInsertBatch payload ([u32 big-endian length][row]
+  // per row) of every screened row; the latched window truncates both to
+  // the rows that survive.
+  run.row_bytes.resize(run.valid);
+  run.wal_ends.resize(run.valid);
+  size_t encoded_bytes = 0;
+  for (size_t i = 0; i < run.valid; ++i) {
+    batch.encode_row_to(first + i, run.row_bytes[i]);
+    encoded_bytes += run.row_bytes[i].size();
+  }
+  run.wal_payload.reserve(encoded_bytes + 4 * run.valid);
+  for (size_t i = 0; i < run.valid; ++i) {
+    const std::string& bytes = run.row_bytes[i];
+    const uint32_t len = static_cast<uint32_t>(bytes.size());
+    const char header[4] = {
+        static_cast<char>(len >> 24), static_cast<char>(len >> 16),
+        static_cast<char>(len >> 8), static_cast<char>(len)};
+    run.wal_payload.append(header, sizeof(header));
+    run.wal_payload.append(bytes);
+    run.wal_ends[i] = run.wal_payload.size();
   }
 
-  // Foreign keys: parent index latch shared per probe, memoized on every
-  // probe key already verified this call (catalog blocks repeat parents
-  // heavily, but not always on adjacent rows). Skipped entirely when the
+  // Secondary key prefixes. Eligibility excluded enabled unique secondaries,
+  // so every key gets the row-id suffix. No field encoding is a prefix of
+  // another (index/key_codec.h), so full keys sort by prefix and then by
+  // row id, which grows with the row's position in the run (one extent,
+  // slots handed out in order): `order` is the full keys' order.
+  for (size_t s = 0; s < table.secondaries().size(); ++s) {
+    const SecondaryIndex& secondary = table.secondaries()[s];
+    if (!secondary.enabled) continue;
+    ColumnRun::SecondaryKeys keys;
+    keys.index = s;
+    keys.prefixes.resize(run.valid);
+    for (size_t i = 0; i < run.valid; ++i) {
+      const size_t r = first + i;
+      if (secondary.def.htm.has_value()) {
+        // HTM key: trixel id of (ra, dec), one int64. Both columns are NOT
+        // NULL by schema validation, and the screen passed this row.
+        encoder.append_int64(static_cast<int64_t>(htm::htm_id_radec(
+            batch.f64_at(r, static_cast<size_t>(secondary.column_indices[0])),
+            batch.f64_at(r, static_cast<size_t>(secondary.column_indices[1])),
+            secondary.def.htm->depth)));
+      } else {
+        for (const int idx : secondary.column_indices) {
+          batch.append_cell_to_key(encoder, r, static_cast<size_t>(idx));
+        }
+      }
+      keys.prefixes[i] = encoder.take();
+      encoder.clear();
+      keys.prefixes[i].reserve(keys.prefixes[i].size() + kRowIdKeyBytes);
+    }
+    keys.order.resize(run.valid);
+    for (size_t i = 0; i < run.valid; ++i) {
+      keys.order[i] = static_cast<uint32_t>(i);
+    }
+    std::sort(keys.order.begin(), keys.order.end(),
+              [&](uint32_t a, uint32_t b) {
+                const int order = keys.prefixes[a].compare(keys.prefixes[b]);
+                return order < 0 || (order == 0 && a < b);
+              });
+    run.secondaries.push_back(std::move(keys));
+  }
+}
+
+size_t Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
+                                         const ColumnBatch& batch,
+                                         size_t first, ColumnRun& run,
+                                         uint32_t extent, OpCosts& costs,
+                                         std::optional<Status>& failure) {
+  Table& table = tables_[tid];
+  const TableDef& def = table.def();
+  size_t limit = run.valid;
+  if (run.invalid.has_value()) failure = std::move(run.invalid);
+
+  // Metadata latch shared for the sub-run.
+  costs.lock_wait_ns += lock_shared_timed(table.latch());
+  const std::shared_lock<std::shared_mutex> table_latch(table.latch(),
+                                                        std::adopt_lock);
+
+  // Foreign keys, before the exclusive window: a parent row cannot vanish
+  // while this call holds the engine rwlock shared (rollback is
+  // engine-exclusive), and the row path's FK check is not repeated under its
+  // exclusive latch either. Parent index latch shared per probe, memoized on
+  // every probe key already verified this sub-run (catalog blocks repeat
+  // parents heavily, but not always on adjacent rows). Skipped when the
   // engine runs FK-deferred (shard instances: parents may be remote).
+  bool fk_failed = false;
   const size_t fk_count =
       options_.enforce_foreign_keys ? def.foreign_keys.size() : 0;
   for (size_t f = 0; f < fk_count && limit > 0; ++f) {
@@ -608,7 +706,7 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
     std::unordered_set<std::string> verified;
     for (size_t i = 0; i < limit; ++i) {
       const size_t r = first + i;
-      ++result.costs.fk_checks;
+      ++costs.fk_checks;
       bool has_null = false;
       for (const FkColumn& col : fk_columns) {
         if (batch.is_null(r, col.child_column)) {
@@ -642,18 +740,18 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
       index::BPlusTree::TouchInfo fk_touch;
       bool parent_has_row = false;
       {
-        result.costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
+        costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
         const std::shared_lock<std::shared_mutex> parent_latch(
             parent.index_latch(), std::adopt_lock);
         parent_has_row =
             parent.pk_tree().lookup_with_touch(probe, &fk_touch).has_value();
       }
-      result.costs.fk_node_visits += fk_touch.nodes_visited;
+      costs.fk_node_visits += fk_touch.nodes_visited;
       if (!parent_has_row) {
-        failure = BatchError{
-            i, Status(ErrorCode::kConstraintForeignKey,
-                      def.name + ": no parent row in " + fk.parent_table +
-                          " for " + row_to_display(batch.row(r)))};
+        failure = Status(ErrorCode::kConstraintForeignKey,
+                         def.name + ": no parent row in " + fk.parent_table +
+                             " for " + row_to_display(batch.row(r)));
+        fk_failed = true;
         limit = i;
         break;
       }
@@ -662,132 +760,148 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
     }
   }
 
-  // Publish the surviving prefix: one latched heap batch, one WAL record,
-  // one sorted-run merge per tree.
-  if (limit > 0) {
-    std::vector<std::string> row_bytes(limit);
-    std::string wal_payload;
-    size_t encoded_bytes = 0;
-    for (size_t i = 0; i < limit; ++i) {
-      batch.encode_row_to(first + i, row_bytes[i]);
-      encoded_bytes += row_bytes[i].size();
-      result.costs.heap_bytes += static_cast<int64_t>(row_bytes[i].size());
-    }
-    wal_payload.reserve(encoded_bytes + 4 * limit);
-    for (const std::string& bytes : row_bytes) {
-      const uint32_t len = static_cast<uint32_t>(bytes.size());
-      const char header[4] = {
-          static_cast<char>(len >> 24), static_cast<char>(len >> 16),
-          static_cast<char>(len >> 8), static_cast<char>(len)};
-      wal_payload.append(header, sizeof(header));
-      wal_payload.append(bytes);
-    }
-    result.costs.wal_bytes += static_cast<int64_t>(wal_payload.size());
-    wal_.append(storage::WalRecordType::kInsertBatch, txn.id, tid,
-                std::move(wal_payload), extent);
+  // Build the PK run outside the window too; row ids are filled in once the
+  // heap has assigned slots.
+  std::vector<std::pair<std::string, uint64_t>> pk_run;
+  pk_run.reserve(limit);
+  for (size_t i = 0; i < limit; ++i) pk_run.emplace_back(run.pk_keys[i], 0);
 
-    const storage::ShardedHeap::BatchAppendResult appended =
-        table.heap().append_batch(extent, std::move(row_bytes));
-    result.costs.lock_wait_ns += appended.latch_wait_ns;
-    result.costs.heap_pages_opened += appended.pages_opened;
-    std::vector<uint64_t> row_ids(limit);
-    for (size_t i = 0; i < limit; ++i) {
-      const storage::SlotId slot = appended.slots[i];
-      row_ids[i] = make_row_id(tid, slot);
-      // Slots come back page-ordered, so one touch per distinct heap page
-      // covers the run without hitting the cache once per row.
-      if (i == 0 || slot.page != appended.slots[i - 1].page ||
-          slot.extent != appended.slots[i - 1].extent) {
-        cache_.touch_write({table.heap_cache_file_id, slot.page, slot.extent});
+  std::vector<uint64_t> row_ids;
+  storage::ShardedHeap::BatchAppendResult appended;
+  index::BPlusTree::RunTouch pk_touch;
+  std::vector<index::BPlusTree::RunTouch> secondary_touches(
+      run.secondaries.size());
+  // Primary-key uniqueness is merged under the window. An FK reject's own
+  // row is merged too: the row path reports its PK violation first.
+  const size_t pk_end = fk_failed ? limit + 1 : limit;
+  if (pk_end == 0) return 0;
+  {
+    costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
+    const std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
+                                                          std::adopt_lock);
+
+    // One forward merge of the sorted run against the tree's leaf chain
+    // instead of per-row point probes.
+    {
+      index::BPlusTree::Iterator it = table.pk_tree().seek(run.pk_keys[0]);
+      for (size_t i = 0; i < pk_end; ++i) {
+        while (it.valid() && it.key() < run.pk_keys[i]) it.next();
+        if (it.valid() && it.key() == run.pk_keys[i]) {
+          failure = Status(ErrorCode::kConstraintPrimaryKey,
+                           def.name + ": duplicate primary key " +
+                               row_to_display(batch.row(first + i)));
+          limit = i;
+          pk_run.resize(limit);
+          break;
+        }
       }
     }
+    if (limit == 0) return 0;
 
-    // Undo entries keep their own pk-key copies (the originals move into
-    // the tree run next); secondary keys are filled in below.
-    const size_t undo_base = txn.undo.size();
-    txn.undo.reserve(txn.undo.size() + limit);
+    // Publish the surviving prefix: one WAL record, one latched heap batch,
+    // one sorted-run merge per tree. The WAL record is appended in the same
+    // window as the heap batch, so redo order matches each extent's slot
+    // order and replay is slot-identical.
+    run.row_bytes.resize(limit);
+    run.wal_payload.resize(run.wal_ends[limit - 1]);
+    wal_.append(storage::WalRecordType::kInsertBatch, txn.id, tid,
+                std::move(run.wal_payload), extent);
+    appended = table.heap().append_batch(extent, std::move(run.row_bytes));
+    row_ids.resize(limit);
     for (size_t i = 0; i < limit; ++i) {
-      txn.undo.push_back(
-          UndoEntry{tid, appended.slots[i], pk_keys[i], {}, appended.views[i]});
+      row_ids[i] = make_row_id(tid, appended.slots[i]);
+      pk_run[i].second = row_ids[i];
     }
-
-    std::vector<std::pair<std::string, uint64_t>> pk_run;
-    pk_run.reserve(limit);
-    for (size_t i = 0; i < limit; ++i) {
-      result.costs.index_key_bytes += static_cast<int64_t>(pk_keys[i].size());
-      count_index_columns(def, table.pk_column_indices(), result.costs);
-      pk_run.emplace_back(std::move(pk_keys[i]), row_ids[i]);
-    }
-    index::BPlusTree::RunTouch pk_touch;
     const Status pk_status =
         table.pk_tree().insert_sorted_run(std::move(pk_run), &pk_touch);
     assert(pk_status.is_ok());  // dup-checked above, strictly sorted
     (void)pk_status;
-    result.costs.index_updates += static_cast<int64_t>(limit);
-    result.costs.index_node_visits += pk_touch.nodes_visited;
-    result.costs.index_leaf_splits += pk_touch.leaf_splits;
-    for (const uint32_t leaf : pk_touch.touched_leaf_ids) {
-      cache_.touch_write({table.pk_cache_file_id, leaf});
-    }
 
-    for (size_t s = 0; s < table.secondaries().size(); ++s) {
-      SecondaryIndex& secondary = table.secondaries()[s];
-      if (!secondary.enabled) continue;
-      // Eligibility excluded enabled unique secondaries, so every key here
-      // carries the row-id suffix — unique and disjoint by construction.
-      std::vector<std::pair<std::string, uint64_t>> run;
-      run.reserve(limit);
-      index::KeyEncoder encoder;
-      for (size_t i = 0; i < limit; ++i) {
-        if (secondary.def.htm.has_value()) {
-          // HTM key: trixel id of (ra, dec), one int64. Both columns are
-          // NOT NULL by schema validation, and rows past `limit` (which
-          // failed constraints) never reach this loop.
-          const size_t r = first + i;
-          encoder.append_int64(static_cast<int64_t>(htm::htm_id_radec(
-              batch.f64_at(r,
-                           static_cast<size_t>(secondary.column_indices[0])),
-              batch.f64_at(r,
-                           static_cast<size_t>(secondary.column_indices[1])),
-              secondary.def.htm->depth)));
-          ++result.costs.index_int_columns;
-        } else {
-          for (const int idx : secondary.column_indices) {
-            batch.append_cell_to_key(encoder, first + i,
-                                     static_cast<size_t>(idx));
-          }
-          count_index_columns(def, secondary.column_indices, result.costs);
-        }
-        encoder.append_int64(static_cast<int64_t>(row_ids[i]));
-        std::string key = encoder.take();
-        encoder.clear();
-        result.costs.index_key_bytes += static_cast<int64_t>(key.size());
-        txn.undo[undo_base + i].secondary_keys.emplace_back(s, key);
-        run.emplace_back(std::move(key), row_ids[i]);
+    index::KeyEncoder suffix;
+    for (size_t k = 0; k < run.secondaries.size(); ++k) {
+      const ColumnRun::SecondaryKeys& keys = run.secondaries[k];
+      std::vector<std::pair<std::string, uint64_t>> entries;
+      entries.reserve(limit);
+      for (const uint32_t i : keys.order) {
+        if (i >= limit) continue;
+        suffix.append_int64(static_cast<int64_t>(row_ids[i]));
+        entries.emplace_back(keys.prefixes[i] + suffix.buffer(), row_ids[i]);
+        suffix.clear();
       }
-      std::sort(run.begin(), run.end());
-      index::BPlusTree::RunTouch touch;
+      assert(std::is_sorted(entries.begin(), entries.end()));
       const Status index_status =
-          secondary.tree.insert_sorted_run(std::move(run), &touch);
+          table.secondaries()[keys.index].tree.insert_sorted_run(
+              std::move(entries), &secondary_touches[k]);
       assert(index_status.is_ok());
       (void)index_status;
-      result.costs.index_updates += static_cast<int64_t>(limit);
-      result.costs.index_node_visits += touch.nodes_visited;
-      result.costs.index_leaf_splits += touch.leaf_splits;
-      for (const uint32_t leaf : touch.touched_leaf_ids) {
-        cache_.touch_write({secondary.cache_file_id, leaf});
-      }
     }
 
     if (insert_observer_) {
       for (size_t i = 0; i < limit; ++i) insert_observer_(tid, row_ids[i]);
     }
-    result.rows_applied = static_cast<int64_t>(limit);
   }
-  if (failure.has_value()) {
-    result.error = std::move(failure);
-    ++result.costs.constraint_failures;
+
+  // Bookkeeping after the window: costs, cache touches and the undo log
+  // (owned by this session's transaction alone).
+  costs.lock_wait_ns += appended.latch_wait_ns;
+  costs.heap_pages_opened += appended.pages_opened;
+  const int64_t wal_bytes = static_cast<int64_t>(run.wal_ends[limit - 1]);
+  costs.wal_bytes += wal_bytes;
+  costs.heap_bytes += wal_bytes - 4 * static_cast<int64_t>(limit);
+  for (size_t i = 0; i < limit; ++i) {
+    const storage::SlotId slot = appended.slots[i];
+    // Slots come back page-ordered, so one touch per distinct heap page
+    // covers the run without hitting the cache once per row.
+    if (i == 0 || slot.page != appended.slots[i - 1].page ||
+        slot.extent != appended.slots[i - 1].extent) {
+      cache_.touch_write({table.heap_cache_file_id, slot.page, slot.extent});
+    }
   }
+  costs.index_updates += static_cast<int64_t>(limit);
+  costs.index_node_visits += pk_touch.nodes_visited;
+  costs.index_leaf_splits += pk_touch.leaf_splits;
+  for (const uint32_t leaf : pk_touch.touched_leaf_ids) {
+    cache_.touch_write({table.pk_cache_file_id, leaf});
+  }
+  for (size_t i = 0; i < limit; ++i) {
+    costs.index_key_bytes += static_cast<int64_t>(run.pk_keys[i].size());
+    count_index_columns(def, table.pk_column_indices(), costs);
+  }
+
+  // Left to grow geometrically: a transaction spans many sub-runs, and an
+  // exact-size reserve per sub-run would copy the whole log each time.
+  const size_t undo_base = txn.undo.size();
+  for (size_t i = 0; i < limit; ++i) {
+    txn.undo.push_back(UndoEntry{tid, appended.slots[i],
+                                 std::move(run.pk_keys[i]), {},
+                                 appended.views[i]});
+  }
+  index::KeyEncoder suffix;
+  for (size_t k = 0; k < run.secondaries.size(); ++k) {
+    ColumnRun::SecondaryKeys& keys = run.secondaries[k];
+    const SecondaryIndex& secondary = table.secondaries()[keys.index];
+    for (size_t i = 0; i < limit; ++i) {
+      suffix.append_int64(static_cast<int64_t>(row_ids[i]));
+      std::string& key = keys.prefixes[i];
+      key.append(suffix.buffer());
+      suffix.clear();
+      costs.index_key_bytes += static_cast<int64_t>(key.size());
+      if (secondary.def.htm.has_value()) {
+        ++costs.index_int_columns;  // key is one trixel id, not raw ra/dec
+      } else {
+        count_index_columns(def, secondary.column_indices, costs);
+      }
+      txn.undo[undo_base + i].secondary_keys.emplace_back(keys.index,
+                                                          std::move(key));
+    }
+    costs.index_updates += static_cast<int64_t>(limit);
+    costs.index_node_visits += secondary_touches[k].nodes_visited;
+    costs.index_leaf_splits += secondary_touches[k].leaf_splits;
+    for (const uint32_t leaf : secondary_touches[k].touched_leaf_ids) {
+      cache_.touch_write({secondary.cache_file_id, leaf});
+    }
+  }
+  return limit;
 }
 
 Status Engine::insert_row(uint64_t txn_id, uint32_t tid, const Row& row,

@@ -252,18 +252,21 @@ class Engine {
                            std::span<const Row> rows);
   // Columnar batch insert — the batch ingest hot path. Applies rows
   // [first, first + count) of `batch` with exactly insert_batch's JDBC
-  // semantics and final state: when the rows' primary keys arrive strictly
-  // increasing (presorted catalog blocks) and the table has no enabled
-  // unique secondary index, constraints are settled for the whole run under
-  // ONE exclusive index-latch window, the heap absorbs the run under one
-  // extent-latch acquisition (ShardedHeap::append_batch), redo is one
-  // kInsertBatch WAL record, and each B+tree takes one sorted-run merge
-  // (insert_sorted_run) instead of count root-to-leaf descents. Otherwise
-  // the rows fall back to the row-at-a-time path (identical semantics,
-  // no speedup).
-  BatchResult insert_column_batch(uint64_t txn_id, uint32_t table_id,
-                                  const ColumnBatch& batch, size_t first = 0,
-                                  size_t count = static_cast<size_t>(-1));
+  // semantics and final state. The batch is cut into sub-runs wherever its
+  // primary keys stop increasing, and each sub-run is capped (64 rows, then
+  // growing with the rows applied so far) so a reject near the front costs
+  // little encoding. Each sub-run settles its constraints under ONE
+  // exclusive index-latch window, lands in the heap under one extent-latch
+  // acquisition (ShardedHeap::append_batch), logs one kInsertBatch WAL
+  // record, and takes one sorted-run merge per B+tree (insert_sorted_run);
+  // its row bytes, WAL payload and secondary-key prefixes are encoded before
+  // the window opens. Tables with an enabled unique secondary index or a
+  // self-referential FK take the row-at-a-time path (identical semantics,
+  // no speedup). `extent_override` pins the heap extent like insert_row's.
+  BatchResult insert_column_batch(
+      uint64_t txn_id, uint32_t table_id, const ColumnBatch& batch,
+      size_t first = 0, size_t count = static_cast<size_t>(-1),
+      std::optional<uint32_t> extent_override = std::nullopt);
   // Single-row insert (the non-bulk baseline path). `extent_override` pins
   // the heap extent instead of using the transaction's assigned one —
   // recovery uses it to replay each row into its original extent.
@@ -435,17 +438,32 @@ class Engine {
   // latch exclusive). See DESIGN.md "Heap extent sharding".
   Status insert_row_latched(Transaction& txn, uint32_t table_id,
                             const Row& row, OpCosts& costs, uint32_t extent);
-  // Fast path of insert_column_batch (pre-checked eligible): settle
-  // constraints for the whole run under one exclusive index-latch window,
-  // append the surviving prefix to the heap in one latched batch, log one
-  // kInsertBatch record, and merge each tree's sorted run. `pk_keys` holds
-  // the encoded PK of every submitted row (strictly increasing). Fills
-  // `result` (rows_applied / error / costs) in place.
-  void insert_column_run_latched(Transaction& txn, uint32_t table_id,
-                                 const ColumnBatch& batch, size_t first,
-                                 size_t count,
-                                 std::vector<std::string> pk_keys,
-                                 uint32_t extent, BatchResult& result);
+  // The run path of insert_column_batch (DESIGN.md §9). A sub-run's first
+  // cap, and the encoded size of a row-id key suffix.
+  static constexpr size_t kFirstSubRunRows = 64;
+  static constexpr size_t kRowIdKeyBytes = 9;
+  struct ColumnRun;
+  // Can the run path settle this batch for this table? (Column layout
+  // matches; no enabled unique secondary index; no self-referential FK.)
+  bool column_run_eligible(const Table& table, uint32_t tid,
+                           const ColumnBatch& batch) const;
+  // Encode one sub-run, no latch held: up to `max_rows` rows from `first`,
+  // ending early where the primary keys stop increasing. Fills the keys,
+  // the validation screen's verdict, row bytes, WAL payload and secondary
+  // key prefixes.
+  void prepare_column_run(const Table& table, const ColumnBatch& batch,
+                          size_t first, size_t max_rows, ColumnRun& run,
+                          OpCosts& costs) const;
+  // Settle a prepared sub-run: FK probes (parent latches shared), then
+  // under the exclusive index latch the PK merge, the trim to the surviving
+  // prefix, the WAL append, the heap batch and the tree merges. Returns the
+  // rows applied; on a reject, `failure` holds the status of the row right
+  // after them.
+  size_t insert_column_run_latched(Transaction& txn, uint32_t table_id,
+                                   const ColumnBatch& batch, size_t first,
+                                   ColumnRun& run, uint32_t extent,
+                                   OpCosts& costs,
+                                   std::optional<Status>& failure);
   // Constraint checks against the current trees (PK, FK, unique secondary).
   // Caller holds the table's index latch (shared or exclusive); parents'
   // index latches are taken shared inside. Returns the first violation.

@@ -40,65 +40,84 @@ Result<std::unique_ptr<Engine>> recover_from_wal(
   // commit record, so it is already excluded by pass 1.
   auto engine = std::make_unique<Engine>(schema, options);
   const uint64_t txn = engine->begin_transaction();
-  // Replay one encoded row into its original extent.
-  const auto replay_row =
-      [&](const storage::WalRecord& record, std::string_view bytes) -> Status {
-    SKY_ASSIGN_OR_RETURN(const Row row, decode_row(bytes));
-    if (record.table_id >= static_cast<uint32_t>(schema.table_count())) {
+  const auto replay_failed = [](const Status& status) {
+    return Status(ErrorCode::kInternal,
+                  "WAL replay: committed insert failed to re-apply: " +
+                      status.to_string());
+  };
+  // One column batch per table, reused across records (arena reuse).
+  std::vector<ColumnBatch> runs;
+  runs.reserve(static_cast<size_t>(schema.table_count()));
+  for (const TableDef& def : schema.tables()) runs.emplace_back(def);
+  for (const storage::WalRecord& record : records) {
+    if (record.type != storage::WalRecordType::kInsert &&
+        record.type != storage::WalRecordType::kInsertBatch) {
+      continue;
+    }
+    const bool replay = committed.count(record.txn_id) > 0;
+    if (replay &&
+        record.table_id >= static_cast<uint32_t>(schema.table_count())) {
       return Status(ErrorCode::kInternal,
                     "WAL replay: record references unknown table");
     }
-    OpCosts scratch;
-    const Status status =
-        engine->insert_row(txn, record.table_id, row, scratch, record.extent);
-    if (!status.is_ok()) {
-      return Status(ErrorCode::kInternal,
-                    "WAL replay: committed insert failed to re-apply: " +
-                        status.to_string());
-    }
-    ++local.rows_replayed;
-    return ok_status();
-  };
-  for (const storage::WalRecord& record : records) {
     if (record.type == storage::WalRecordType::kInsert) {
-      if (committed.count(record.txn_id) == 0) {
+      if (!replay) {
         ++local.rows_discarded;
         continue;
       }
-      SKY_RETURN_IF_ERROR(replay_row(record, record.payload));
-    } else if (record.type == storage::WalRecordType::kInsertBatch) {
-      // One record covering a whole columnar run: a sequence of
-      // [u32 big-endian length][encoded row] entries, all in record.extent.
-      // Replaying them one by one into that extent reproduces the exact
-      // page/slot layout the batch append produced (see wal.h).
-      const std::string& payload = record.payload;
-      size_t pos = 0;
-      while (pos < payload.size()) {
-        if (payload.size() - pos < 4) {
-          return Status(ErrorCode::kInternal,
-                        "WAL replay: truncated batch record header");
-        }
-        const uint32_t len =
-            (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos])) << 24) |
-            (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 1]))
-             << 16) |
-            (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 2]))
-             << 8) |
-            static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 3]));
-        pos += 4;
-        if (payload.size() - pos < len) {
-          return Status(ErrorCode::kInternal,
-                        "WAL replay: truncated batch record row");
-        }
-        if (committed.count(record.txn_id) == 0) {
-          ++local.rows_discarded;
-        } else {
-          SKY_RETURN_IF_ERROR(replay_row(
-              record, std::string_view(payload.data() + pos, len)));
-        }
-        pos += len;
-      }
+      // One row, replayed into its original extent.
+      SKY_ASSIGN_OR_RETURN(const Row row, decode_row(record.payload));
+      OpCosts scratch;
+      const Status status = engine->insert_row(txn, record.table_id, row,
+                                               scratch, record.extent);
+      if (!status.is_ok()) return replay_failed(status);
+      ++local.rows_replayed;
+      continue;
     }
+    // One record covering a whole columnar run: a sequence of
+    // [u32 big-endian length][encoded row] entries, all in record.extent.
+    // Replaying it as one run into that extent reproduces the exact
+    // page/slot layout the batch append produced (see wal.h).
+    ColumnBatch* run = replay ? &runs[record.table_id] : nullptr;
+    if (run != nullptr) run->clear();
+    const std::string& payload = record.payload;
+    size_t pos = 0;
+    while (pos < payload.size()) {
+      if (payload.size() - pos < 4) {
+        return Status(ErrorCode::kInternal,
+                      "WAL replay: truncated batch record header");
+      }
+      const uint32_t len =
+          (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos])) << 24) |
+          (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 1]))
+           << 16) |
+          (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 2]))
+           << 8) |
+          static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 3]));
+      pos += 4;
+      if (payload.size() - pos < len) {
+        return Status(ErrorCode::kInternal,
+                      "WAL replay: truncated batch record row");
+      }
+      if (run == nullptr) {
+        ++local.rows_discarded;
+      } else {
+        SKY_ASSIGN_OR_RETURN(
+            const Row row,
+            decode_row(std::string_view(payload.data() + pos, len)));
+        if (!run->push_row(row)) {
+          return Status(ErrorCode::kInternal,
+                        "WAL replay: batch record row does not fit table " +
+                            schema.table(record.table_id).name);
+        }
+      }
+      pos += len;
+    }
+    if (run == nullptr || run->empty()) continue;
+    const BatchResult applied = engine->insert_column_batch(
+        txn, record.table_id, *run, 0, run->size(), record.extent);
+    local.rows_replayed += applied.rows_applied;
+    if (applied.error.has_value()) return replay_failed(applied.error->status);
   }
   SKY_RETURN_IF_ERROR(engine->commit(txn).status());
   if (stats != nullptr) *stats = local;

@@ -3,13 +3,16 @@
 // randomized differential test of the whole insert path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <set>
 #include <thread>
 
 #include "common/rng.h"
 #include "db/engine.h"
+#include "db/recovery.h"
 
 namespace sky::db {
 namespace {
@@ -670,6 +673,284 @@ TEST_F(EngineTest, ColumnBatchForeignKeyViolationReported) {
   EXPECT_EQ(result.error->row_index, 1u);
   EXPECT_EQ(result.error->status.code(), ErrorCode::kConstraintForeignKey);
 }
+
+// ---------------------------------------- run path vs insert_batch oracle ---
+//
+// insert_column_batch cuts a batch into sub-runs where its primary keys stop
+// increasing, capped at 64 rows and then growing with the rows applied
+// (sub-runs [0, 64), [64, 192), [192, 448) on a clean batch). These cases put
+// each kind of reject at those boundaries and past the first cap, feed the
+// same rows to insert_batch (the row-path oracle) and insert_column_batch,
+// resubmit past every reject the way the bulk loader does, and require the
+// same per-call results, the same physical heap, and WAL replay to the same
+// physical heap.
+
+using PhysicalRow = std::tuple<uint32_t, uint32_t, uint32_t, std::string>;
+
+std::vector<PhysicalRow> physical_rows(const Engine& engine, uint32_t tid) {
+  std::vector<PhysicalRow> rows;
+  EXPECT_TRUE(engine.live_view()
+                  .scan_heap(tid,
+                             [&](storage::SlotId slot, std::string_view bytes) {
+                               rows.emplace_back(slot.extent, slot.page,
+                                                 slot.slot, std::string(bytes));
+                             })
+                  .is_ok());
+  return rows;
+}
+
+struct CallOutcome {
+  int64_t rows_applied = 0;
+  std::optional<size_t> error_index;
+  std::string error;
+  bool operator==(const CallOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const CallOutcome& call) {
+  out << "{applied " << call.rows_applied;
+  if (call.error_index.has_value()) {
+    out << ", error at " << *call.error_index << ": " << call.error;
+  }
+  return out << "}";
+}
+
+CallOutcome outcome_of(const BatchResult& result) {
+  CallOutcome call;
+  call.rows_applied = result.rows_applied;
+  if (result.error.has_value()) {
+    call.error_index = result.error->row_index;
+    call.error = result.error->status.to_string();
+  }
+  return call;
+}
+
+// Load `objects` rows into a fresh engine holding frames 0..9 (and the
+// object ids in `tree_ids`), one call per submission: after a reject the
+// next call starts right past the rejected row.
+struct PathRun {
+  std::unique_ptr<Engine> engine;
+  std::vector<CallOutcome> calls;
+};
+
+PathRun load_objects(const Schema& schema, const std::vector<Row>& objects,
+                     const std::vector<int64_t>& tree_ids, bool columnar) {
+  EngineOptions options;
+  options.retain_wal_records = true;
+  PathRun run{std::make_unique<Engine>(schema, options), {}};
+  Engine& engine = *run.engine;
+  const uint32_t frames = engine.table_id("frames").value();
+  const uint32_t object_table = engine.table_id("objects").value();
+  const uint64_t setup = engine.begin_transaction();
+  OpCosts costs;
+  for (int64_t f = 0; f < 10; ++f) {
+    EXPECT_TRUE(engine.insert_row(setup, frames, frame_row(f), costs).is_ok());
+  }
+  for (const int64_t id : tree_ids) {
+    EXPECT_TRUE(
+        engine.insert_row(setup, object_table, object_row(id, 0), costs)
+            .is_ok());
+  }
+  EXPECT_TRUE(engine.commit(setup).is_ok());
+
+  ColumnBatch batch(schema.table(object_table));
+  for (const Row& row : objects) EXPECT_TRUE(batch.push_row(row));
+  const uint64_t txn = engine.begin_transaction();
+  size_t first = 0;
+  while (first < objects.size()) {
+    const BatchResult result =
+        columnar ? engine.insert_column_batch(txn, object_table, batch, first)
+                 : engine.insert_batch(
+                       txn, object_table,
+                       std::span<const Row>(objects).subspan(first));
+    run.calls.push_back(outcome_of(result));
+    first += static_cast<size_t>(result.rows_applied);
+    if (!result.error.has_value()) break;
+    ++first;  // skip the rejected row, resubmit the rest
+  }
+  EXPECT_TRUE(engine.commit(txn).is_ok());
+  EXPECT_TRUE(engine.verify_integrity().is_ok());
+  return run;
+}
+
+// 400 presorted object rows (ids 0, 2, 4, ...), frames 0..9 cyclically.
+std::vector<Row> presorted_objects() {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 400; ++i) {
+    rows.push_back(object_row(2 * i, i % 10,
+                              10.0 + 0.5 * static_cast<double>(i), -5.0,
+                              15.0 + static_cast<double>(i % 7)));
+  }
+  return rows;
+}
+
+void expect_paths_agree(const std::vector<Row>& objects,
+                        const std::vector<int64_t>& tree_ids = {}) {
+  const Schema schema = frames_objects_schema();
+  const PathRun oracle = load_objects(schema, objects, tree_ids, false);
+  const PathRun columnar = load_objects(schema, objects, tree_ids, true);
+  EXPECT_EQ(columnar.calls, oracle.calls);
+
+  const uint32_t object_table = oracle.engine->table_id("objects").value();
+  const std::vector<PhysicalRow> expected =
+      physical_rows(*oracle.engine, object_table);
+
+  // The run path settled every submission itself: past the set-up rows its
+  // redo holds no per-row records.
+  size_t row_records = 0;
+  for (const auto& record : columnar.engine->wal_records()) {
+    if (record.type == storage::WalRecordType::kInsert &&
+        record.table_id == object_table) {
+      ++row_records;
+    }
+  }
+  EXPECT_EQ(row_records, tree_ids.size());
+  EXPECT_EQ(physical_rows(*columnar.engine, object_table), expected);
+
+  // WAL replay rebuilds the same physical heap from either log.
+  for (const PathRun* run : {&oracle, &columnar}) {
+    const auto recovered =
+        recover_from_wal(schema, run->engine->wal_records());
+    ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
+    EXPECT_TRUE(engines_equivalent(*run->engine, **recovered).is_ok());
+    EXPECT_EQ(physical_rows(**recovered, object_table), expected);
+  }
+}
+
+// Row positions at and around the sub-run boundaries, and past the first cap.
+constexpr size_t kBoundaryRows[] = {0, 1, 63, 64, 65, 191, 192, 300, 399};
+
+TEST(ColumnRunDifferentialTest, OutOfOrderKeys) {
+  for (const size_t at : kBoundaryRows) {
+    if (at + 1 >= 400) continue;
+    SCOPED_TRACE(at);
+    std::vector<Row> rows = presorted_objects();
+    std::swap(rows[at], rows[at + 1]);  // one descending step after `at`
+    expect_paths_agree(rows);
+  }
+  // Fully descending: every row is its own sub-run.
+  std::vector<Row> rows = presorted_objects();
+  std::reverse(rows.begin(), rows.end());
+  expect_paths_agree(rows);
+}
+
+TEST(ColumnRunDifferentialTest, AdjacentDuplicateKey) {
+  for (const size_t at : kBoundaryRows) {
+    if (at == 0) continue;
+    SCOPED_TRACE(at);
+    std::vector<Row> rows = presorted_objects();
+    rows[at][0] = rows[at - 1][0];  // repeats the previous key
+    expect_paths_agree(rows);
+  }
+}
+
+TEST(ColumnRunDifferentialTest, DuplicateAgainstTree) {
+  for (const size_t at : kBoundaryRows) {
+    SCOPED_TRACE(at);
+    expect_paths_agree(presorted_objects(), {2 * static_cast<int64_t>(at)});
+  }
+  // Several at once, one of them in every sub-run.
+  expect_paths_agree(presorted_objects(), {0, 128, 130, 384, 798});
+}
+
+TEST(ColumnRunDifferentialTest, DanglingForeignKey) {
+  for (const size_t at : kBoundaryRows) {
+    SCOPED_TRACE(at);
+    std::vector<Row> rows = presorted_objects();
+    rows[at][1] = Value::i64(999);  // no such frame
+    expect_paths_agree(rows);
+  }
+}
+
+TEST(ColumnRunDifferentialTest, CheckViolation) {
+  for (const size_t at : kBoundaryRows) {
+    SCOPED_TRACE(at);
+    std::vector<Row> rows = presorted_objects();
+    rows[at][2] = Value::f64(400.0);  // ra outside [0, 360]
+    expect_paths_agree(rows);
+  }
+}
+
+TEST(ColumnRunDifferentialTest, RejectPrecedenceWithinOneRow) {
+  // Validation before PK before FK, on the same row, as the row path.
+  for (const size_t at : {size_t{5}, size_t{64}, size_t{200}}) {
+    SCOPED_TRACE(at);
+    std::vector<Row> pk_and_fk = presorted_objects();
+    pk_and_fk[at][0] = pk_and_fk[at - 1][0];
+    pk_and_fk[at][1] = Value::i64(999);
+    expect_paths_agree(pk_and_fk);
+
+    std::vector<Row> check_and_pk = presorted_objects();
+    check_and_pk[at][3] = Value::f64(-95.0);  // dec outside [-90, 90]
+    expect_paths_agree(check_and_pk, {2 * static_cast<int64_t>(at)});
+
+    // An FK reject before a later duplicate in the same sub-run.
+    std::vector<Row> fk_then_pk = presorted_objects();
+    fk_then_pk[at][1] = Value::i64(999);
+    fk_then_pk[at + 3][0] = fk_then_pk[at + 2][0];
+    expect_paths_agree(fk_then_pk);
+  }
+}
+
+TEST(ColumnRunDifferentialTest, EncodingStopsNearTheFirstReject) {
+  // The validation screen and the row encoding run per sub-run, and a
+  // sub-run is never longer than 64 rows plus the rows already applied, so
+  // the rows screened in one call stay within 2 x applied + 64 however long
+  // the submitted batch is. check_evals counts the screened rows.
+  const Schema schema = frames_objects_schema();
+  const TableDef& def = schema.table(schema.table_id("objects").value());
+  const int64_t evals_per_row =
+      static_cast<int64_t>(def.columns.size() + def.checks.size());
+  for (const int64_t reject : {int64_t{3}, int64_t{70}, int64_t{1000}}) {
+    SCOPED_TRACE(reject);
+    Engine engine(schema);
+    const uint32_t frames = engine.table_id("frames").value();
+    const uint32_t objects = engine.table_id("objects").value();
+    const uint64_t txn = engine.begin_transaction();
+    OpCosts costs;
+    ASSERT_TRUE(engine.insert_row(txn, frames, frame_row(0), costs).is_ok());
+    ASSERT_TRUE(
+        engine.insert_row(txn, objects, object_row(reject, 0), costs).is_ok());
+    ColumnBatch batch(def);
+    for (int64_t i = 0; i < 4000; ++i) {
+      ASSERT_TRUE(batch.push_row(object_row(i, 0)));
+    }
+    const BatchResult result = engine.insert_column_batch(txn, objects, batch);
+    EXPECT_EQ(result.rows_applied, reject);
+    ASSERT_TRUE(result.error.has_value());
+    EXPECT_EQ(result.error->row_index, static_cast<size_t>(reject));
+    EXPECT_LE(result.costs.check_evals, (2 * reject + 64) * evals_per_row);
+  }
+}
+
+class ColumnRunFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ColumnRunFuzz, DirtyBatchMatchesRowPath) {
+  // A dirty night's shape: mostly presorted rows with sprinkled reorderings,
+  // repeated keys, tree duplicates, dangling parents and check violations.
+  Rng rng(GetParam());
+  std::vector<Row> rows = presorted_objects();
+  std::vector<int64_t> tree_ids;
+  for (size_t i = 1; i < rows.size(); ++i) {
+    const double draw = rng.uniform();
+    if (draw < 0.03) {
+      std::swap(rows[i - 1], rows[i]);
+    } else if (draw < 0.06) {
+      rows[i][0] = rows[i - 1][0];
+    } else if (draw < 0.08) {
+      tree_ids.push_back(rows[i][0].as_i64());
+    } else if (draw < 0.10) {
+      rows[i][1] = Value::i64(500 + static_cast<int64_t>(i));
+    } else if (draw < 0.12) {
+      rows[i][4] = Value::f64(std::nan(""));
+    }
+  }
+  std::sort(tree_ids.begin(), tree_ids.end());
+  tree_ids.erase(std::unique(tree_ids.begin(), tree_ids.end()), tree_ids.end());
+  expect_paths_agree(rows, tree_ids);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ColumnRunFuzz,
+                         ::testing::Values(201, 202, 203, 204, 205, 206));
 
 // ------------------------------------------------- randomized differential ---
 

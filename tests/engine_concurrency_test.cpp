@@ -36,57 +36,63 @@ std::vector<CatalogFile> make_files(int count, int64_t bytes_each,
 }
 
 // Eight real loader threads over the PQ schema, error-laden files, commits
-// every other cycle. Afterwards the engine must audit clean and row counts
-// must match the report exactly, per table.
+// every other cycle, through the row path and the columnar run path.
+// Afterwards the engine must audit clean and row counts must match the
+// report exactly, per table.
 TEST(EngineConcurrencyTest, EightLoadersWithErrorsAndPeriodicCommits) {
   const db::Schema schema = catalog::make_pq_schema();
-  db::Engine engine(schema);
-  {
-    client::DirectSession session(engine);
-    BulkLoaderOptions loader_options;
-    loader_options.write_audit_row = false;
-    BulkLoader loader(session, schema, loader_options);
-    ASSERT_TRUE(loader
-                    .load_text("reference",
-                               catalog::CatalogGenerator::reference_file().text)
-                    .is_ok());
-  }
-  const int64_t rows_before = engine.total_rows();
-
   const auto files = make_files(16, 24 * 1024, 541, /*error_rate=*/0.15);
-  CoordinatorOptions options;
-  options.parallel_degree = 8;
-  options.loader.write_audit_row = false;
-  options.loader.commit.every_cycles = 2;
-  const auto report = LoadCoordinator::run_threads(
-      files, schema,
-      [&](int) { return std::make_unique<client::DirectSession>(engine); },
-      options);
-  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
-  EXPECT_EQ(report->files.size(), 16u);
+  for (const bool columnar : {false, true}) {
+    SCOPED_TRACE(columnar ? "columnar" : "row");
+    db::Engine engine(schema);
+    {
+      client::DirectSession session(engine);
+      BulkLoaderOptions loader_options;
+      loader_options.write_audit_row = false;
+      BulkLoader loader(session, schema, loader_options);
+      ASSERT_TRUE(
+          loader
+              .load_text("reference",
+                         catalog::CatalogGenerator::reference_file().text)
+              .is_ok());
+    }
+    const int64_t rows_before = engine.total_rows();
 
-  // The error-laden files must actually have exercised the skip paths.
-  int64_t skipped = 0;
-  FileLoadReport totals;
-  for (const FileLoadReport& file : report->files) {
-    skipped += file.total_skipped();
-    totals.merge_counts(file);
+    CoordinatorOptions options;
+    options.parallel_degree = 8;
+    options.loader.write_audit_row = false;
+    options.loader.columnar_ingest = columnar;
+    options.loader.commit.every_cycles = 2;
+    const auto report = LoadCoordinator::run_threads(
+        files, schema,
+        [&](int) { return std::make_unique<client::DirectSession>(engine); },
+        options);
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    EXPECT_EQ(report->files.size(), 16u);
+
+    // The error-laden files must actually have exercised the skip paths.
+    int64_t skipped = 0;
+    FileLoadReport totals;
+    for (const FileLoadReport& file : report->files) {
+      skipped += file.total_skipped();
+      totals.merge_counts(file);
+    }
+    EXPECT_GT(skipped, 0);
+    EXPECT_GT(report->total_rows_loaded, 0);
+
+    // Exact accounting: engine contents == reference + every reported row,
+    // in aggregate and per table.
+    EXPECT_EQ(engine.total_rows(), rows_before + report->total_rows_loaded);
+    for (const auto& [table, rows] : totals.loaded_per_table) {
+      const uint32_t tid = engine.table_id(table).value();
+      EXPECT_GE(engine.live_view().row_count(tid), rows) << table;
+    }
+    EXPECT_TRUE(engine.verify_integrity().is_ok());
+
+    // Lock-wait attribution is present for every worker (possibly zero).
+    ASSERT_EQ(report->worker_lock_wait.size(), 8u);
+    for (const Nanos wait : report->worker_lock_wait) EXPECT_GE(wait, 0);
   }
-  EXPECT_GT(skipped, 0);
-  EXPECT_GT(report->total_rows_loaded, 0);
-
-  // Exact accounting: engine contents == reference + every reported row,
-  // in aggregate and per table.
-  EXPECT_EQ(engine.total_rows(), rows_before + report->total_rows_loaded);
-  for (const auto& [table, rows] : totals.loaded_per_table) {
-    const uint32_t tid = engine.table_id(table).value();
-    EXPECT_GE(engine.live_view().row_count(tid), rows) << table;
-  }
-  EXPECT_TRUE(engine.verify_integrity().is_ok());
-
-  // Lock-wait attribution is present for every worker (possibly zero).
-  ASSERT_EQ(report->worker_lock_wait.size(), 8u);
-  for (const Nanos wait : report->worker_lock_wait) EXPECT_GE(wait, 0);
 }
 
 // Raw engine stress: writers inserting parent/child rows with deliberate

@@ -150,13 +150,33 @@ TEST(TuningProfileTest, OptionMappings) {
   const auto engine_options = production.engine_options();
   EXPECT_EQ(engine_options.cache_pages, production.server_cache_pages);
   EXPECT_EQ(engine_options.device_layout.physical_devices, 3);
+  // Production loads through the columnar run path.
   const auto bulk = production.bulk_options();
-  EXPECT_EQ(bulk.batch_size, 40);
-  EXPECT_EQ(bulk.array_config.default_rows, 1000);
+  EXPECT_TRUE(bulk.columnar_ingest);
+  EXPECT_EQ(bulk.batch_size, 4000);
+  EXPECT_EQ(bulk.array_config.default_rows, 4000);
+  EXPECT_EQ(bulk.array_config.memory_high_water_bytes, 600 * 1024);
   EXPECT_EQ(bulk.commit.every_cycles, 0);
+  EXPECT_NE(production.describe().find("(columnar), batch=4000, array=4000"),
+            std::string::npos)
+      << production.describe();
+
+  // Explicit opt-out: the row path keeps the paper's 40 / 1000 mapping.
+  TuningProfile row_path = TuningProfile::production();
+  row_path.columnar_ingest = false;
+  const auto row_bulk = row_path.bulk_options();
+  EXPECT_FALSE(row_bulk.columnar_ingest);
+  EXPECT_EQ(row_bulk.batch_size, 40);
+  EXPECT_EQ(row_bulk.array_config.default_rows, 1000);
+  EXPECT_EQ(row_bulk.array_config.memory_high_water_bytes,
+            BulkLoaderOptions{}.array_config.memory_high_water_bytes);
+  EXPECT_NE(row_path.describe().find("bulk, batch=40, array=1000"),
+            std::string::npos)
+      << row_path.describe();
 
   const TuningProfile untuned = TuningProfile::untuned_2004();
   EXPECT_EQ(untuned.bulk_options().batch_size, 1);  // non-bulk => batch 1
+  EXPECT_FALSE(untuned.bulk_options().columnar_ingest);
   EXPECT_EQ(untuned.server_config().device_layout.physical_devices, 1);
 }
 

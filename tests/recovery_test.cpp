@@ -20,6 +20,7 @@
 #include "catalog/pq_schema.h"
 #include "client/session.h"
 #include "core/bulk_loader.h"
+#include "core/tuning.h"
 #include "db/recovery.h"
 #include "shard/sharded_repository.h"
 
@@ -436,6 +437,110 @@ TEST(RecoveryTest, ColumnarLoadRoundTripsExtentIdentical) {
                     .is_ok());
   }
   EXPECT_EQ(first_layout, second_layout);
+}
+
+// The production profile loads through the columnar run path. On a
+// duplicate-heavy dirty night, where most server calls stop at a repeated
+// key, it must build the same repository as the row path byte for byte
+// (extent, page, slot and bytes per table) with the same per-row verdicts,
+// and its redo — kInsertBatch records, each replayed as one run — must
+// rebuild that repository slot-identically.
+TEST(RecoveryTest, ProductionDirtyNightMatchesRowPathAndReplays) {
+  const Schema schema = catalog::make_pq_schema();
+  catalog::FileSpec spec;
+  spec.seed = 808;
+  spec.unit_id = 88;
+  spec.target_bytes = 160 * 1024;
+  spec.error_rate = 0.04;
+  spec.error_mix = catalog::ErrorMix{0.05, 0.05, 0.7, 0.1, 0.1};
+  const std::string text = catalog::CatalogGenerator::generate(spec).text;
+
+  using PhysicalRow = std::tuple<uint32_t, uint32_t, uint32_t, std::string>;
+  using Layout = std::vector<std::vector<PhysicalRow>>;
+  const auto layout_of = [&](const Engine& engine) {
+    Layout layout(static_cast<size_t>(schema.table_count()));
+    for (size_t t = 0; t < layout.size(); ++t) {
+      EXPECT_TRUE(engine.live_view()
+                      .scan_heap(static_cast<uint32_t>(t),
+                                 [&](storage::SlotId slot,
+                                     std::string_view bytes) {
+                                   layout[t].emplace_back(slot.extent,
+                                                          slot.page, slot.slot,
+                                                          std::string(bytes));
+                                 })
+                      .is_ok());
+    }
+    return layout;
+  };
+  struct Loaded {
+    std::unique_ptr<Engine> engine;
+    core::FileLoadReport report;
+  };
+  const auto load_with = [&](bool columnar) {
+    core::TuningProfile profile = core::TuningProfile::production();
+    profile.columnar_ingest = columnar;
+    EngineOptions options = profile.engine_options();
+    options.retain_wal_records = true;
+    Loaded loaded{std::make_unique<Engine>(schema, options), {}};
+    EXPECT_TRUE(profile.apply_index_policy(*loaded.engine).is_ok());
+    client::DirectSession session(*loaded.engine);
+    core::BulkLoaderOptions loader_options = profile.bulk_options();
+    EXPECT_EQ(loader_options.columnar_ingest, columnar);
+    loader_options.write_audit_row = false;
+    loader_options.max_error_details = 1 << 20;
+    core::BulkLoader reference(session, schema, loader_options);
+    EXPECT_TRUE(reference
+                    .load_text("reference",
+                               catalog::CatalogGenerator::reference_file().text)
+                    .is_ok());
+    core::BulkLoader loader(session, schema, loader_options);
+    const auto report = loader.load_text("dirty.cat", text);
+    EXPECT_TRUE(report.is_ok());
+    loaded.report = *report;
+    EXPECT_TRUE(loaded.engine->verify_integrity().is_ok());
+    return loaded;
+  };
+  const Loaded row = load_with(false);
+  const Loaded columnar = load_with(true);
+
+  EXPECT_GT(row.report.rows_skipped_server, 20);  // duplicate-heavy
+  EXPECT_EQ(columnar.report.rows_parsed, row.report.rows_parsed);
+  EXPECT_EQ(columnar.report.parse_errors, row.report.parse_errors);
+  EXPECT_EQ(columnar.report.rows_loaded, row.report.rows_loaded);
+  EXPECT_EQ(columnar.report.rows_skipped_server,
+            row.report.rows_skipped_server);
+  EXPECT_EQ(columnar.report.loaded_per_table, row.report.loaded_per_table);
+  // Same rejected rows with the same statuses. The two paths flush their
+  // arrays at different sizes, so rejects of different tables interleave
+  // differently in the report.
+  const auto verdicts = [](const core::FileLoadReport& report) {
+    std::multiset<std::tuple<std::string, std::string, std::string>> out;
+    for (const core::LoadError& error : report.errors) {
+      out.emplace(error.table, error.detail, error.status.to_string());
+    }
+    return out;
+  };
+  EXPECT_EQ(verdicts(columnar.report), verdicts(row.report));
+  const Layout expected = layout_of(*row.engine);
+  EXPECT_EQ(layout_of(*columnar.engine), expected);
+
+  // The run path carried every catalog table: no per-row redo.
+  const auto records = columnar.engine->wal_records();
+  int64_t batch_records = 0;
+  for (const auto& record : records) {
+    EXPECT_NE(record.type, storage::WalRecordType::kInsert)
+        << schema.table(record.table_id).name;
+    if (record.type == storage::WalRecordType::kInsertBatch) ++batch_records;
+  }
+  EXPECT_GT(batch_records, 0);
+
+  RecoveryStats stats;
+  const auto recovered =
+      recover_from_wal(schema, records, EngineOptions{}, &stats);
+  ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
+  EXPECT_EQ(stats.rows_replayed, columnar.engine->total_rows());
+  EXPECT_TRUE(engines_equivalent(*columnar.engine, **recovered).is_ok());
+  EXPECT_EQ(layout_of(**recovered), expected);
 }
 
 // Crash immediately after the covering flush: the WAL is truncated at the

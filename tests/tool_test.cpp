@@ -76,18 +76,38 @@ TEST_F(ToolTest, GenerateLintVerifyLoadRoundTrip) {
   EXPECT_EQ(verify.exit_code, 0) << verify.output;
   EXPECT_NE(verify.output.find("integrity audit: OK"), std::string::npos);
 
-  // load with a Markdown report.
+  // load with a Markdown report and a persisted WAL. The loader follows the
+  // production profile: the columnar run path, whose redo is one
+  // kInsertBatch record per sub-run.
   const auto report_path = dir_ / "report.md";
+  const auto wal_path = dir_ / "repo.wal";
   const auto load = run_command(
-      tool_ + " load --parallel 2 --report " + report_path.string() + " " +
-      (dir_ / "*.cat").string());
+      tool_ + " load --parallel 2 --report " + report_path.string() +
+      " --wal " + wal_path.string() + " " + (dir_ / "*.cat").string());
   EXPECT_EQ(load.exit_code, 0) << load.output;
+  EXPECT_NE(load.output.find("ingest: columnar path, batch=4000, array=4000"),
+            std::string::npos)
+      << load.output;
+  const auto wal_line = load.output.find("WAL persisted to");
+  ASSERT_NE(wal_line, std::string::npos) << load.output;
+  const auto batch_count = load.output.find("records, ", wal_line);
+  ASSERT_NE(batch_count, std::string::npos) << load.output;
+  EXPECT_GT(std::stoll(load.output.substr(batch_count + 9)), 0)
+      << load.output;
   std::ifstream report(report_path);
   ASSERT_TRUE(report.good());
   std::string contents((std::istreambuf_iterator<char>(report)),
                        std::istreambuf_iterator<char>());
   EXPECT_NE(contents.find("# Load report"), std::string::npos);
   EXPECT_NE(contents.find("| objects |"), std::string::npos);
+
+  // --batch / --array override the profile's sizes only when given.
+  const auto row_sized = run_command(
+      tool_ + " verify --batch 40 --array 1000 " + (dir_ / "*.cat").string());
+  EXPECT_EQ(row_sized.exit_code, 0) << row_sized.output;
+  EXPECT_NE(row_sized.output.find("ingest: columnar path, batch=40, array=1000"),
+            std::string::npos)
+      << row_sized.output;
 }
 
 TEST_F(ToolTest, LintFlagsDirtyFile) {

@@ -6,7 +6,9 @@
 //             files to DIR.
 //   load      --parallel P [--batch B] [--array A] [--report out.md] FILES...
 //             Create a repository, load the files (reference files first,
-//             detected by name), print/write a report.
+//             detected by name) with the production profile's loader
+//             options (columnar run path, batch/array 4000; --batch and
+//             --array override the sizes), print/write a report.
 //   verify    FILES...
 //             Load into a throwaway repository and run the deep integrity
 //             audit; exit nonzero on any inconsistency.
@@ -22,6 +24,7 @@
 //             (pairs with `load --wal repo.wal`).
 //
 // Everything is deterministic given --seed.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -235,8 +238,17 @@ int cmd_load(const Args& args, bool verify_only) {
   }
   core::CoordinatorOptions options;
   options.parallel_degree = static_cast<int>(opt_int(args, "parallel", 4));
-  options.loader.batch_size = opt_int(args, "batch", 40);
-  options.loader.array_config.default_rows = opt_int(args, "array", 1000);
+  // The loader follows the production profile; --batch / --array override
+  // its sizes only when given.
+  options.loader = profile.bulk_options();
+  options.loader.batch_size =
+      opt_int(args, "batch", options.loader.batch_size);
+  options.loader.array_config.default_rows =
+      opt_int(args, "array", options.loader.array_config.default_rows);
+  std::printf("ingest: %s path, batch=%lld, array=%lld\n",
+              options.loader.columnar_ingest ? "columnar" : "row",
+              static_cast<long long>(options.loader.batch_size),
+              static_cast<long long>(options.loader.array_config.default_rows));
   const auto report =
       load_into(engine, schema, std::move(*files), options);
   if (!report.is_ok()) {
@@ -263,8 +275,14 @@ int cmd_load(const Args& args, bool verify_only) {
       std::fprintf(stderr, "%s\n", wal_status.to_string().c_str());
       return 1;
     }
-    std::printf("WAL persisted to %s (%zu records)\n", wal_path.c_str(),
-                engine.wal_records().size());
+    const std::vector<storage::WalRecord> records = engine.wal_records();
+    const auto run_records = std::count_if(
+        records.begin(), records.end(), [](const storage::WalRecord& record) {
+          return record.type == storage::WalRecordType::kInsertBatch;
+        });
+    std::printf("WAL persisted to %s (%zu records, %lld insert-batch records)\n",
+                wal_path.c_str(), records.size(),
+                static_cast<long long>(run_records));
   }
 
   const std::string report_path = opt_string(args, "report", "");
