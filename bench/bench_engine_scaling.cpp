@@ -162,7 +162,7 @@ RunResult run_files(const sky::db::EngineOptions& engine_options,
   for (const sky::Nanos wait : report->worker_lock_wait) {
     result.lock_wait_seconds += sky::to_seconds(wait);
   }
-  result.wal = engine.wal_stats();
+  result.wal = engine.stats().wal;
   return result;
 }
 
@@ -229,12 +229,12 @@ RunResult run_window_load(sky::Nanos window, int degree,
   sky::db::EngineOptions engine_options =
       sky::core::TuningProfile::production().engine_options();
   engine_options.latency.commit_log_flush = kWindowLogFlush;
-  engine_options.commit_window = window;
+  engine_options.policies.commit.commit_window = window;
   // Close the group once all but one of the loaders have queued (the last
   // is usually mid-batch; waiting for it costs the whole window). A cap
   // above the parallel degree would make leaders always wait out the full
   // window for a group that can never fill.
-  engine_options.max_group_commits = std::max(degree - 1, 2);
+  engine_options.policies.commit.max_group_commits = std::max(degree - 1, 2);
   return run_files(engine_options, /*global_lock=*/false, degree, files,
                    /*commit_every_batches=*/8);
 }

@@ -46,7 +46,7 @@ void bench_parallel(benchmark::State& state) {
   for (auto _ : state) {
     sky::client::ServerConfig server_config =
         sky::core::TuningProfile::production().server_config();
-    server_config.concurrency = kFig7Policy;
+    server_config.policies.concurrency = kFig7Policy;
     SimRepository repo =
         SimRepository::create(sky::core::TuningProfile::production(),
                               &server_config);
@@ -113,12 +113,12 @@ RealResult run_real(int degree, bool gated) {
   const sky::core::TuningProfile profile =
       sky::core::TuningProfile::production();
   sky::db::EngineOptions engine_options = profile.engine_options();
-  engine_options.concurrency = kFig7Policy;
+  engine_options.policies.concurrency = kFig7Policy;
   if (!gated) {
     // Gate-off control: ITL admission disabled, transaction slots
     // permissive. Everything else identical.
-    engine_options.concurrency.itl_slots_per_table = 0;
-    engine_options.concurrency.max_concurrent_transactions = 64;
+    engine_options.policies.concurrency.itl_slots_per_table = 0;
+    engine_options.policies.concurrency.max_concurrent_transactions = 64;
   }
   engine_options.latency.batch_redo_write = kBatchRedoWrite;
   engine_options.latency.data_write_per_page = kDataWritePerPage;
@@ -159,7 +159,7 @@ RealResult run_real(int degree, bool gated) {
                     ? static_cast<double>(report->total_bytes) / 1e6 /
                           result.seconds
                     : 0;
-  result.gates = engine.concurrency_stats();
+  result.gates = engine.stats().concurrency;
   result.itl_wait_s = sky::to_seconds(report->itl_wait);
   result.txn_slot_wait_s = sky::to_seconds(report->txn_slot_wait);
   result.stall_s = sky::to_seconds(report->stall_time);

@@ -63,7 +63,7 @@ double run_rac(int nodes, bool partitioned, double paper_mb) {
   config.nodes = nodes;
   config.cpus = 8 * nodes;              // each node is a full host
   config.batch_gate_slots = 5 * nodes;  // per-instance lock capacity
-  config.concurrency.max_concurrent_transactions = 8 * nodes;
+  config.policies.concurrency.max_concurrent_transactions = 8 * nodes;
   if (partitioned) config.cache_fusion_per_page = 0;
   sky::client::SimServer server(env, engine, config);
   env.spawn("reference", [&] {

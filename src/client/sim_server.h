@@ -46,26 +46,19 @@ struct ServerConfig {
   // paper's testbed: 8 open-transaction slots (sessions holding a
   // transaction) and 7 ITL slots per table (concurrent transactions
   // inserting into one table — the knee of Fig. 7).
-  core::EnginePolicies policies = [] {
-    core::EnginePolicies p;
-    p.concurrency.max_concurrent_transactions = 8;
-    p.concurrency.itl_slots_per_table = 7;
-    return p;
-  }();
-  // Reference views keeping the historical field spellings alive
-  // (config.concurrency..., config.query..., config.commit_window...).
-  // The commit knobs mirror the engine's WAL window (storage::WalOptions):
+  // policies.commit mirrors the engine's WAL window (storage::WalOptions):
   // a commit that leads a log flush holds the device write open for
   // commit_window so commits arriving meanwhile ride the same flush; the
   // group closes early at max_group_commits members. The engine itself runs
   // with a zero window in simulation (it must never block in real time
   // inside a sim process), so the grouping is modeled here, at the log
   // device — keeping simulated and real-thread runs in agreement.
-  core::ConcurrencyPolicy& concurrency = policies.concurrency;
-  core::QueryPolicy& query = policies.query;
-  core::SpatialPolicy& spatial = policies.spatial;
-  Nanos& commit_window = policies.commit.commit_window;
-  int64_t& max_group_commits = policies.commit.max_group_commits;
+  core::EnginePolicies policies = [] {
+    core::EnginePolicies p;
+    p.concurrency.max_concurrent_transactions = 8;
+    p.concurrency.itl_slots_per_table = 7;
+    return p;
+  }();
   // Instance-wide limit on concurrently *executing* transactional batch
   // work — the "RDBMS limit on the number of concurrent transactions" the
   // paper hits at parallelism 6-7 (section 4.4/5.4). Queueing here triggers
@@ -76,30 +69,6 @@ struct ServerConfig {
   storage::DeviceLayout device_layout =
       storage::DeviceLayout::separate_raids();
   CostModel costs;
-
-  // The reference members above alias *this* object's `policies`; default
-  // copy semantics would alias the source's. Copies rebind by omitting the
-  // references from the member-init list, so their default initializers
-  // re-run against the new object.
-  ServerConfig() = default;
-  ServerConfig(const ServerConfig& other)
-      : cpus(other.cpus),
-        nodes(other.nodes),
-        cache_fusion_per_page(other.cache_fusion_per_page),
-        policies(other.policies),
-        batch_gate_slots(other.batch_gate_slots),
-        device_layout(other.device_layout),
-        costs(other.costs) {}
-  ServerConfig& operator=(const ServerConfig& other) {
-    cpus = other.cpus;
-    nodes = other.nodes;
-    cache_fusion_per_page = other.cache_fusion_per_page;
-    policies = other.policies;
-    batch_gate_slots = other.batch_gate_slots;
-    device_layout = other.device_layout;
-    costs = other.costs;
-    return *this;
-  }
 };
 
 class SimServer {
@@ -138,11 +107,11 @@ class SimServer {
   // Deterministic stall decision (one shared stream; draws are ordered by
   // virtual time, which is itself deterministic).
   bool draw_stall() {
-    return stall_rng_.bernoulli(config_.concurrency.stall_probability);
+    return stall_rng_.bernoulli(config_.policies.concurrency.stall_probability);
   }
 
-  // Unified admission-gate snapshot in the same shape the real engine's
-  // Engine::concurrency_stats() reports (db::ConcurrencyStats), derived
+  // Unified admission-gate snapshot in the same shape the real engine
+  // reports as Engine::stats().concurrency (db::ConcurrencyStats), derived
   // from the sim resources' virtual-time accounting.
   db::ConcurrencyStats concurrency_stats() const;
 
@@ -158,7 +127,7 @@ class SimServer {
   // measure query latency in virtual time at the call site.
   core::QueryStats query_lane_stats() const;
 
-  // Log-device group commit (ServerConfig::commit_window). A committing
+  // Log-device group commit (policies.commit.commit_window). A committing
   // session asks whether it leads a new flush group or joins the one in
   // flight. The leader pays the coalescing-window wait (skipped when it is
   // the only session holding a transaction — the same single-transaction

@@ -171,7 +171,8 @@ db::BatchResult SimSession::server_visit(
         static_cast<double>(1 + (gate_queued ? gate_depth : 0));
     server_time += static_cast<Nanos>(
         static_cast<double>(server_time) *
-        server_.config().concurrency.lock_escalation_factor * depth_factor);
+        server_.config().policies.concurrency.lock_escalation_factor *
+        depth_factor);
   }
   env.delay(server_time);
   stats_.server_time += server_time;
@@ -186,8 +187,8 @@ db::BatchResult SimSession::server_visit(
   // Occasional long stall when lock queues formed (observed "very
   // infrequent ... stalls and dramatic degradation", section 5.4).
   if (itl_queued && server_.draw_stall()) {
-    env.delay(server_.config().concurrency.stall_duration);
-    stats_.stall_time += server_.config().concurrency.stall_duration;
+    env.delay(server_.config().policies.concurrency.stall_duration);
+    stats_.stall_time += server_.config().policies.concurrency.stall_duration;
   }
 
   // Reply wire latency.

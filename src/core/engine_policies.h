@@ -4,14 +4,13 @@
 // subsystem's knobs (SpatialPolicy), and the multi-engine scale-out layout
 // (ShardPolicy).
 //
-// Both execution backends embed one EnginePolicies: db::EngineOptions (real
-// threads) and client::ServerConfig (simulation). The policies used to be
-// four loose members spread across those structs with duplicated field
-// spellings; folding them here gives tuning code one object to hand around
-// (`options.policies = config.policies`) while the embedding structs keep
-// the old spellings alive as reference members, so existing call sites
-// (`options.concurrency.itl_slots_per_table = 7`,
-// `config.commit_window = 2ms`) compile unchanged.
+// Both execution backends embed one EnginePolicies as their `policies`
+// member: db::EngineOptions (real threads) and client::ServerConfig
+// (simulation). It is the only spelling of these knobs on either struct
+// (`options.policies.concurrency.itl_slots_per_table = 7`,
+// `config.policies.commit.commit_window = 2ms`), so tuning code hands one
+// object across backends (`options.policies = config.policies`) and both
+// structs keep their implicit copy semantics.
 //
 // Header-only; deliberately no describe() here — CommitPolicy::describe()
 // is defined in the core library, and db/ headers embed this aggregate

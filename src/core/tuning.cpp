@@ -48,23 +48,23 @@ db::EngineOptions TuningProfile::engine_options() const {
   // keep the real gates permissive (64 slots, ITL off) so they never
   // double-count — and so no real gate can block inside a sim process,
   // which would wedge the cooperative scheduler. Real-thread harnesses
-  // that want the admission gates set EngineOptions::concurrency directly.
-  options.concurrency.max_concurrent_transactions = 64;
-  options.concurrency.itl_slots_per_table = 0;
+  // that want the admission gates set policies.concurrency directly.
+  options.policies.concurrency.max_concurrent_transactions = 64;
+  options.policies.concurrency.itl_slots_per_table = 0;
   // Likewise the commit-coalescing window: the sim prices it at the modeled
   // log device (server_config() below), so the engine-side window stays 0 —
   // a real timed wait would stall the cooperative sim scheduler. Real-thread
-  // harnesses opt in via EngineOptions::commit_window directly.
-  options.max_group_commits = commit.max_group_commits;
-  options.durability = commit.durability;
+  // harnesses opt in via policies.commit.commit_window directly.
+  options.policies.commit.max_group_commits = commit.max_group_commits;
+  options.policies.commit.durability = commit.durability;
   return options;
 }
 
 client::ServerConfig TuningProfile::server_config() const {
   client::ServerConfig config;
   config.device_layout = device_layout;
-  config.commit_window = commit.commit_window;
-  config.max_group_commits = commit.max_group_commits;
+  config.policies.commit.commit_window = commit.commit_window;
+  config.policies.commit.max_group_commits = commit.max_group_commits;
   return config;
 }
 

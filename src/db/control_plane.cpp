@@ -84,7 +84,6 @@ EngineStats EngineStats::delta_since(const EngineStats& prev) const {
   d.query.interactive = lane_delta(query.interactive, prev.query.interactive);
   d.query.batch = lane_delta(query.batch, prev.query.batch);
   d.query.batch_yields = query.batch_yields - prev.query.batch_yields;
-  // read_lsn / pins / pin age stay gauges.
 
   d.snapshots.chunks_published =
       snapshots.chunks_published - prev.snapshots.chunks_published;
@@ -92,6 +91,8 @@ EngineStats EngineStats::delta_since(const EngineStats& prev) const {
       snapshots.rows_published - prev.snapshots.rows_published;
   d.snapshots.pins_taken = snapshots.pins_taken - prev.snapshots.pins_taken;
   // published_lsn / active_pins / oldest_pin_age stay gauges.
+
+  d.cache = cache.since(prev.cache);
 
   for (TableExtentStats& table : d.extents) {
     const TableExtentStats* before = nullptr;

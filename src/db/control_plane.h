@@ -1,15 +1,14 @@
 // Unified engine statistics and the live-policy API (the control plane).
 //
-// Before this header the engine's telemetry was five scattered surfaces —
-// WalStats, ConcurrencyStats, QueryStats, SnapshotStats, per-table extent
-// stats — each with its own getter, and every tunable was fixed at
-// construction. EngineStats folds them into one snapshot behind a single
-// Engine::stats() call, with delta_since() to turn two snapshots into
-// per-interval rates; PolicyPatch is the one spelling for a bounded set of
-// *live* adjustments (commit window, gate slot counts, extent assignment)
-// applied race-free by Engine::update_policies(). ControlPlane abstracts
-// the pair so core::Controller (core/controller.h) drives the real engine
-// and the simulated SimServer through identical code.
+// EngineStats is the engine's one telemetry snapshot — WalStats,
+// ConcurrencyStats, QueryStats, SnapshotStats, CacheEvents and per-table
+// extent stats — behind the single Engine::stats() call, with delta_since()
+// to turn two snapshots into per-interval rates; PolicyPatch is the one
+// spelling for a bounded set of *live* adjustments (commit window, gate
+// slot counts, extent assignment) applied race-free by
+// Engine::update_policies(). ControlPlane abstracts the pair so
+// core::Controller (core/controller.h) drives the real engine and the
+// simulated SimServer through identical code.
 //
 // Thread safety: stats() returns a copied snapshot assembled from each
 // subsystem's own locked accessor; update_policies() serializes appliers on
@@ -31,6 +30,7 @@
 #include "db/engine.h"
 #include "db/lock_manager.h"
 #include "db/snapshot.h"
+#include "storage/buffer_cache.h"
 #include "storage/sharded_heap.h"
 #include "storage/wal.h"
 
@@ -76,6 +76,7 @@ struct EngineStats {
   ConcurrencyStats concurrency;
   core::QueryStats query;        // zero unless a QueryScheduler is attached
   SnapshotStats snapshots;
+  storage::CacheEvents cache;    // buffer-cache hits, misses, evictions
   std::vector<TableExtentStats> extents;
   int64_t total_rows = 0;
   int64_t total_heap_bytes = 0;

@@ -68,13 +68,13 @@ Engine::Engine(Schema schema, EngineOptions options)
     : schema_(std::move(schema)),
       options_(normalize(options)),
       cache_(options.cache_pages, options.dirty_trigger),
-      wal_(storage::WalOptions{options.retain_wal_records,
-                               options.latency.commit_log_flush,
-                               options.commit_window,
-                               std::max<int64_t>(options.max_group_commits, 1),
-                               options.durability}),
+      wal_(storage::WalOptions{
+          options.retain_wal_records, options.latency.commit_log_flush,
+          options.policies.commit.commit_window,
+          std::max<int64_t>(options.policies.commit.max_group_commits, 1),
+          options.policies.commit.durability}),
       txn_gate_(std::make_unique<BlockingSlotGate>(
-          options.concurrency.max_concurrent_transactions)),
+          options.policies.concurrency.max_concurrent_transactions)),
       snapshots_(static_cast<size_t>(schema_.table_count())) {
   tables_.reserve(static_cast<size_t>(schema_.table_count()));
   uint32_t next_file_id = 0;
@@ -94,11 +94,11 @@ Engine::Engine(Schema schema, EngineOptions options)
     for (const ForeignKey& fk : table.def().foreign_keys) {
       table.fk_parent_ids.push_back(schema_.table_id(fk.parent_table).value());
     }
-    if (options_.concurrency.itl_gated()) {
+    if (options_.policies.concurrency.itl_gated()) {
       // Per-table ITL admission gate. Each gate gets an independent stall
       // stream (seed salted with the table id) so stall draws are
       // deterministic per table regardless of load interleaving.
-      const core::ConcurrencyPolicy& policy = options_.concurrency;
+      const core::ConcurrencyPolicy& policy = options_.policies.concurrency;
       table.set_itl_gate(std::make_unique<FairSlotGate>(
           policy.itl_slots_per_table,
           GateStallModel{policy.stall_probability,
@@ -113,13 +113,12 @@ Engine::Engine(Schema schema, EngineOptions options)
                            std::memory_order_relaxed);
   cache_.set_io_hook([this](storage::CachePageId page,
                             storage::BufferCache::IoKind kind) {
+    if (tl_active_costs == nullptr) return;
     const storage::IoRole role = role_of_file(page.file_id);
     if (kind == storage::BufferCache::IoKind::kRead) {
-      if (tl_active_costs != nullptr) tl_active_costs->io.add_read(role);
-      global_io_.add_read(role);
+      tl_active_costs->io.add_read(role);
     } else {
-      if (tl_active_costs != nullptr) tl_active_costs->io.add_write(role);
-      global_io_.add_write(role);
+      tl_active_costs->io.add_write(role);
     }
   });
 }
@@ -244,7 +243,6 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
     result.costs.commit_flushes_led += flush.led ? 1 : 0;
     result.costs.commit_piggybacks += flush.piggybacked ? 1 : 0;
     result.costs.commit_leader_wait_ns += flush.leader_wait;
-    global_io_.add_log_bytes(flush.bytes_flushed);
   }
   std::vector<TableAdmission> admissions;
   std::vector<UndoEntry> undo;
@@ -375,7 +373,7 @@ BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
   engine_lock.unlock();
   const double escalation =
       admission.contended
-          ? options_.concurrency.lock_escalation_factor *
+          ? options_.policies.concurrency.lock_escalation_factor *
                 static_cast<double>(1 + admission.queue_depth)
           : 0.0;
   pay_batch_latency(result.costs, escalation);
@@ -507,7 +505,7 @@ BatchResult Engine::insert_column_batch(uint64_t txn_id, uint32_t tid,
   engine_lock.unlock();
   const double escalation =
       admission.contended
-          ? options_.concurrency.lock_escalation_factor *
+          ? options_.policies.concurrency.lock_escalation_factor *
                 static_cast<double>(1 + admission.queue_depth)
           : 0.0;
   pay_batch_latency(result.costs, escalation);
@@ -942,7 +940,7 @@ Status Engine::insert_row(uint64_t txn_id, uint32_t tid, const Row& row,
   engine_lock.unlock();
   const double escalation =
       admission.contended
-          ? options_.concurrency.lock_escalation_factor *
+          ? options_.policies.concurrency.lock_escalation_factor *
                 static_cast<double>(1 + admission.queue_depth)
           : 0.0;
   pay_batch_latency(costs, escalation);
@@ -1493,8 +1491,8 @@ Result<std::vector<Row>> Engine::snapshot_collect_range(
 EngineStats Engine::stats() const {
   EngineStats stats;
   stats.wal = wal_.stats();
-  stats.concurrency = concurrency_stats();
   stats.snapshots = snapshots_.stats();
+  stats.cache = cache_.events();
   {
     const std::shared_lock<std::shared_mutex> engine_lock(engine_mu_);
     stats.extents.reserve(tables_.size());
@@ -1507,8 +1505,8 @@ EngineStats Engine::stats() const {
   }
   {
     // Held across the call so a concurrent detach cannot destroy the source
-    // mid-invocation. The source (QueryScheduler::stats) takes only gate
-    // and snapshot-manager internal locks — leaves in the lock order.
+    // mid-invocation. The source (QueryScheduler::stats) takes only its
+    // lane gates' internal locks — leaves in the lock order.
     const std::scoped_lock hook_lock(query_stats_mu_);
     if (query_stats_source_) stats.query = query_stats_source_();
   }
@@ -1518,11 +1516,16 @@ EngineStats Engine::stats() const {
   stats.policies.commit_window = wal_options.commit_window;
   stats.policies.max_group_commits = wal_options.max_group_commits;
   stats.policies.transaction_slots = txn_gate_->slots();
+  // Admission gates: the transaction gate plus every per-table ITL gate
+  // summed (lock_manager.h), the shape SimServer::concurrency_stats() also
+  // reports. Table vector and gate pointers are fixed after construction;
+  // each gate's stats() takes its own internal lock.
+  stats.concurrency.transaction_gate = txn_gate_->stats();
   int64_t itl_slots = 0;  // 0 = ITL gates disabled on this engine
   for (const Table& table : tables_) {
     if (const SlotGate* gate = table.itl_gate(); gate != nullptr) {
+      stats.concurrency.itl += gate->stats();
       itl_slots = gate->slots();
-      break;
     }
   }
   stats.policies.itl_slots_per_table = itl_slots;
@@ -1550,7 +1553,7 @@ Status Engine::update_policies(const PolicyPatch& patch) {
       return Status(ErrorCode::kInvalidArgument,
                     "update_policies: itl_slots_per_table must be >= 1");
     }
-    if (!options_.concurrency.itl_gated()) {
+    if (!options_.policies.concurrency.itl_gated()) {
       // Creating gates live would race the lock-free gate-pointer reads on
       // the insert path; only existing gates can be resized.
       return Status(ErrorCode::kFailedPrecondition,
@@ -1582,28 +1585,6 @@ void Engine::set_query_stats_source(
     std::function<core::QueryStats()> source) {
   const std::scoped_lock lock(query_stats_mu_);
   query_stats_source_ = std::move(source);
-}
-
-ConcurrencyStats Engine::concurrency_stats() const {
-  ConcurrencyStats stats;
-  stats.transaction_gate = txn_gate_->stats();
-  // Table vector and gate pointers are fixed after construction; each
-  // gate's stats() takes its own internal lock, so no engine lock needed.
-  for (const Table& table : tables_) {
-    if (const SlotGate* gate = table.itl_gate(); gate != nullptr) {
-      stats.itl += gate->stats();
-    }
-  }
-  return stats;
-}
-
-Result<std::vector<storage::ShardedHeap::ExtentStats>>
-Engine::heap_extent_stats(uint32_t tid) const {
-  const std::shared_lock<std::shared_mutex> engine_lock(engine_mu_);
-  if (tid >= tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  return tables_[tid].heap().extent_stats();
 }
 
 void Engine::set_insert_observer(

@@ -124,24 +124,10 @@ struct EngineOptions {
   // tuning code can hand one object across both backends. Defaults keep the
   // real engine permissive: 64 transaction slots, ITL gates off —
   // simulation models the limits in the server cost model instead.
+  // policies.commit drives commit-coalescing group commit (section 4.5.2;
+  // storage::WalOptions) and the durability mode: kRelaxed acks at append
+  // and exposes the durable-LSN watermark (Engine::wal_durable_lsn).
   core::EnginePolicies policies;
-  // Source-compatible views of the folded policies: the former loose fields
-  // live on as references into `policies`, so existing call sites
-  // (`options.concurrency.itl_slots_per_table`, `options.commit_window`)
-  // compile unchanged. The copy operations below deliberately omit the
-  // references from their init lists, so each copy's default member
-  // initializers rebind them to the copy's own `policies`.
-  core::ConcurrencyPolicy& concurrency = policies.concurrency;
-  core::SpatialPolicy& spatial = policies.spatial;
-  // Commit-coalescing group commit (section 4.5.2): a commit-flush leader
-  // holds the device write open up to this long (0 = flush immediately) so
-  // other sessions' commits fold into one flush, closing early once
-  // max_group_commits commits are queued. See storage::WalOptions.
-  Nanos& commit_window = policies.commit.commit_window;
-  int64_t& max_group_commits = policies.commit.max_group_commits;
-  // kStrict acks a commit only after the covering flush; kRelaxed acks at
-  // append and exposes the durable-LSN watermark (Engine::wal_durable_lsn).
-  storage::DurabilityMode& durability = policies.commit.durability;
   // Independent append streams per table heap (1 = the pre-sharding layout;
   // clamped to [1, storage::kMaxHeapExtents]). Transactions are assigned an
   // extent round-robin at begin_transaction(), so N parallel loaders of one
@@ -166,32 +152,6 @@ struct EngineOptions {
   // instances that never serve snapshot reads.
   bool snapshot_reads = true;
   ModeledDeviceLatency latency;
-
-  EngineOptions() = default;
-  EngineOptions(const EngineOptions& other)
-      : cache_pages(other.cache_pages),
-        dirty_trigger(other.dirty_trigger),
-        policies(other.policies),
-        heap_extents(other.heap_extents),
-        extent_assignment(other.extent_assignment),
-        device_layout(other.device_layout),
-        retain_wal_records(other.retain_wal_records),
-        enforce_foreign_keys(other.enforce_foreign_keys),
-        snapshot_reads(other.snapshot_reads),
-        latency(other.latency) {}
-  EngineOptions& operator=(const EngineOptions& other) {
-    cache_pages = other.cache_pages;
-    dirty_trigger = other.dirty_trigger;
-    policies = other.policies;  // references already view this object's copy
-    heap_extents = other.heap_extents;
-    extent_assignment = other.extent_assignment;
-    device_layout = other.device_layout;
-    retain_wal_records = other.retain_wal_records;
-    enforce_foreign_keys = other.enforce_foreign_keys;
-    snapshot_reads = other.snapshot_reads;
-    latency = other.latency;
-    return *this;
-  }
 };
 
 // Canonical fail-closed error for a read over an unavailable secondary
@@ -305,7 +265,6 @@ class Engine {
   // EngineOptions::snapshot_reads (the default); with it off, pins succeed
   // but see an empty repository. A Snapshot must not outlive its engine.
   Snapshot pin_snapshot() const { return snapshots_.pin(); }
-  SnapshotStats snapshot_stats() const { return snapshots_.stats(); }
   // Newest publication LSN a fresh pin would read (the snapshot analogue of
   // wal_durable_lsn(): one tick per committed writing transaction).
   uint64_t snapshot_published_lsn() const {
@@ -323,11 +282,11 @@ class Engine {
   // goes through live_view() / view_at() (see DESIGN.md §10).
 
   // ----------------------------------------------------------- control plane
-  // The unified telemetry snapshot: every per-subsystem surface below plus
-  // the live policy values, in one EngineStats (db/control_plane.h). This
-  // is the public stats entry point; the per-subsystem getters in the
-  // telemetry block are its components, kept for callers that need just one
-  // surface.
+  // The engine's one telemetry call: WAL, admission gates, query lanes,
+  // snapshots, buffer cache and per-extent heap occupancy, plus the live
+  // policy values, in one copied EngineStats (db/control_plane.h). Each
+  // component is read under its owning subsystem's lock — never a
+  // reference into concurrently mutated state.
   EngineStats stats() const;
   // Apply a bounded set of live policy adjustments (commit window, gate
   // slot counts, extent assignment) atomically with respect to concurrent
@@ -340,10 +299,9 @@ class Engine {
   // stats source stats() folds in — the QueryScheduler registers itself.
   void set_query_stats_source(std::function<core::QueryStats()> source);
 
-  // -------------------------------------------------------------- telemetry
-  // All telemetry returns copied snapshots taken under the owning
-  // component's lock — never references into concurrently mutated state.
-  storage::WalStats wal_stats() const { return wal_.stats(); }
+  // ------------------------------------------------------------ WAL access
+  // Retained redo records (EngineOptions::retain_wal_records) for replay
+  // verification; a copied snapshot.
   std::vector<storage::WalRecord> wal_records() const {
     return wal_.records();
   }
@@ -358,16 +316,7 @@ class Engine {
   // Force pending redo to the device regardless of durability mode (the
   // relaxed-mode checkpoint); returns bytes written by this call.
   int64_t sync_wal() { return wal_.sync(); }
-  storage::CacheEvents cache_events() const { return cache_.events(); }
-  storage::IoTally io_tally() const { return global_io_.snapshot(); }
-  // Unified admission-gate snapshot: the transaction gate plus every
-  // per-table ITL gate summed (lock_manager.h). The sim server exposes the
-  // same shape, so reports read one schema in both execution modes.
-  ConcurrencyStats concurrency_stats() const;
-  // Per-extent heap occupancy for one table (rows / pages / bytes per
-  // extent) — how evenly a parallel load spread across append streams.
-  Result<std::vector<storage::ShardedHeap::ExtentStats>> heap_extent_stats(
-      uint32_t table_id) const;
+
   // Observer invoked (under the destination table's latch) after each
   // successful insert; tests use it to audit parent-before-child ordering.
   // Setting it quiesces the engine (engine-exclusive).
@@ -524,7 +473,6 @@ class Engine {
   mutable std::mutex query_stats_mu_;
   std::function<core::QueryStats()> query_stats_source_;
   std::vector<storage::IoRole> file_roles_;  // cache file id -> device role
-  storage::SharedIoTally global_io_;
   // Mutable: pinning is logically const (a read) but registers the pin.
   mutable SnapshotManager snapshots_;
   std::function<void(uint32_t, uint64_t)> insert_observer_;

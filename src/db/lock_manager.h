@@ -132,7 +132,7 @@ class SlotGate {
 
 // Snapshot of every admission gate an engine (or sim server) runs:
 // the instance-wide transaction gate plus the per-table ITL gates summed.
-// Returned by Engine::concurrency_stats() and client::SimServer::
+// Reported as Engine::stats().concurrency and by client::SimServer::
 // concurrency_stats() in identical shape.
 struct ConcurrencyStats {
   GateStats transaction_gate;

@@ -160,10 +160,6 @@ QueryStats QueryScheduler::stats() const {
   stats.batch.p50_latency = batch_latency_.percentile(0.50);
   stats.batch.p99_latency = batch_latency_.percentile(0.99);
   stats.batch_yields = batch_yields_.load(std::memory_order_relaxed);
-  stats.read_lsn = engine_.snapshot_published_lsn();
-  const SnapshotStats snap = engine_.snapshot_stats();
-  stats.snapshot_pins = snap.active_pins;
-  stats.snapshot_pin_age = snap.oldest_pin_age;
   return stats;
 }
 

@@ -117,81 +117,61 @@ Result<Row> ShardedReadView::pk_lookup(uint32_t table_id,
   return miss;
 }
 
-Result<std::vector<Row>> ShardedReadView::pk_range(uint32_t table_id,
-                                                   const Row& lo,
-                                                   const Row& hi) const {
+Result<std::vector<Row>> ShardedReadView::scatter_merge(
+    uint32_t table_id, std::optional<std::string_view> index_name,
+    const std::function<Result<std::vector<Row>>(const ReadView&)>& read)
+    const {
   if (!valid()) return empty_view_error();
   std::vector<std::vector<Row>> per_shard;
   per_shard.reserve(views_.size());
   for (const ReadView& view : views_) {
-    SKY_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         view.pk_range(table_id, lo, hi));
+    SKY_ASSIGN_OR_RETURN(std::vector<Row> rows, read(view));
     per_shard.push_back(std::move(rows));
   }
   const TableDef& def = repo_->schema().table(table_id);
-  return merge_by_key(std::move(per_shard), [&def](const Row& row) {
-    return encode_pk_of(def, row);
+  if (!index_name.has_value()) {
+    return merge_by_key(std::move(per_shard), [&def](const Row& row) {
+      return encode_pk_of(def, row);
+    });
+  }
+  const IndexDef* index = find_index(def, *index_name);
+  if (index == nullptr) {
+    return Status(ErrorCode::kNotFound, "no index named " +
+                                            std::string(*index_name));
+  }
+  return merge_by_key(std::move(per_shard), [&def, index](const Row& row) {
+    return encode_index_value_of(def, *index, row);
+  });
+}
+
+Result<std::vector<Row>> ShardedReadView::pk_range(uint32_t table_id,
+                                                   const Row& lo,
+                                                   const Row& hi) const {
+  return scatter_merge(table_id, std::nullopt, [&](const ReadView& view) {
+    return view.pk_range(table_id, lo, hi);
   });
 }
 
 Result<std::vector<Row>> ShardedReadView::index_range(
     uint32_t table_id, std::string_view index_name, const Row& lo,
     const Row& hi) const {
-  if (!valid()) return empty_view_error();
-  std::vector<std::vector<Row>> per_shard;
-  per_shard.reserve(views_.size());
-  for (const ReadView& view : views_) {
-    SKY_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         view.index_range(table_id, index_name, lo, hi));
-    per_shard.push_back(std::move(rows));
-  }
-  const TableDef& def = repo_->schema().table(table_id);
-  const IndexDef* index = find_index(def, index_name);
-  if (index == nullptr) {
-    return Status(ErrorCode::kNotFound, "no index named " +
-                                            std::string(index_name));
-  }
-  return merge_by_key(std::move(per_shard), [&def, index](const Row& row) {
-    return encode_index_value_of(def, *index, row);
+  return scatter_merge(table_id, index_name, [&](const ReadView& view) {
+    return view.index_range(table_id, index_name, lo, hi);
   });
 }
 
 Result<std::vector<Row>> ShardedReadView::pk_encoded_range(
     uint32_t table_id, const std::string& lo, const std::string& hi) const {
-  if (!valid()) return empty_view_error();
-  std::vector<std::vector<Row>> per_shard;
-  per_shard.reserve(views_.size());
-  for (const ReadView& view : views_) {
-    SKY_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         view.pk_encoded_range(table_id, lo, hi));
-    per_shard.push_back(std::move(rows));
-  }
-  const TableDef& def = repo_->schema().table(table_id);
-  return merge_by_key(std::move(per_shard), [&def](const Row& row) {
-    return encode_pk_of(def, row);
+  return scatter_merge(table_id, std::nullopt, [&](const ReadView& view) {
+    return view.pk_encoded_range(table_id, lo, hi);
   });
 }
 
 Result<std::vector<Row>> ShardedReadView::index_encoded_range(
     uint32_t table_id, std::string_view index_name, const std::string& lo,
     const std::string& hi) const {
-  if (!valid()) return empty_view_error();
-  std::vector<std::vector<Row>> per_shard;
-  per_shard.reserve(views_.size());
-  for (const ReadView& view : views_) {
-    SKY_ASSIGN_OR_RETURN(
-        std::vector<Row> rows,
-        view.index_encoded_range(table_id, index_name, lo, hi));
-    per_shard.push_back(std::move(rows));
-  }
-  const TableDef& def = repo_->schema().table(table_id);
-  const IndexDef* index = find_index(def, index_name);
-  if (index == nullptr) {
-    return Status(ErrorCode::kNotFound, "no index named " +
-                                            std::string(index_name));
-  }
-  return merge_by_key(std::move(per_shard), [&def, index](const Row& row) {
-    return encode_index_value_of(def, *index, row);
+  return scatter_merge(table_id, index_name, [&](const ReadView& view) {
+    return view.index_encoded_range(table_id, index_name, lo, hi);
   });
 }
 

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -100,6 +101,13 @@ class ShardedReadView {
   ShardedReadView(const ShardedRepository* repo, std::vector<ReadView> views)
       : repo_(repo), views_(std::move(views)) {}
 
+  // The four range reads: run `read` on every shard view, then merge the
+  // per-shard runs by the named index's value key, or by the primary key
+  // when `index_name` is unset.
+  Result<std::vector<Row>> scatter_merge(
+      uint32_t table_id, std::optional<std::string_view> index_name,
+      const std::function<Result<std::vector<Row>>(const ReadView&)>& read)
+      const;
   // Merge per-shard result runs (each already key-ascending) into one
   // key-ascending sequence; `key(row)` re-derives the comparison key.
   static std::vector<Row> merge_by_key(

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -62,37 +61,6 @@ struct IoTally {
     }
     log_bytes_flushed += other.log_bytes_flushed;
     return *this;
-  }
-};
-
-// Engine-wide I/O tally fed from concurrent sessions (the buffer-cache I/O
-// hook fires from whichever thread caused the physical I/O). Relaxed atomics:
-// the counters are independent monotone sums; snapshot() is a telemetry
-// read, not a synchronization point.
-struct SharedIoTally {
-  std::array<std::atomic<int64_t>, kIoRoleCount> pages_written{};
-  std::array<std::atomic<int64_t>, kIoRoleCount> pages_read{};
-  std::atomic<int64_t> log_bytes_flushed{0};
-
-  void add_write(IoRole role, int64_t pages = 1) {
-    pages_written[static_cast<size_t>(role)].fetch_add(
-        pages, std::memory_order_relaxed);
-  }
-  void add_read(IoRole role, int64_t pages = 1) {
-    pages_read[static_cast<size_t>(role)].fetch_add(
-        pages, std::memory_order_relaxed);
-  }
-  void add_log_bytes(int64_t bytes) {
-    log_bytes_flushed.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  IoTally snapshot() const {
-    IoTally tally;
-    for (size_t i = 0; i < kIoRoleCount; ++i) {
-      tally.pages_written[i] = pages_written[i].load(std::memory_order_relaxed);
-      tally.pages_read[i] = pages_read[i].load(std::memory_order_relaxed);
-    }
-    tally.log_bytes_flushed = log_bytes_flushed.load(std::memory_order_relaxed);
-    return tally;
   }
 };
 

@@ -277,7 +277,7 @@ TEST(SimSessionTest, TransactionSlotsLimitConcurrency) {
   db::Engine engine(two_table_schema());
   sim::Environment env;
   ServerConfig config;
-  config.concurrency.max_concurrent_transactions = 2;
+  config.policies.concurrency.max_concurrent_transactions = 2;
   SimServer server(env, engine, config);
   // Three loaders each hold a transaction for a long client compute; the
   // third must wait for a slot (virtual time shows serialization).

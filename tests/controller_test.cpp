@@ -1,7 +1,8 @@
 // Controller unit battery: the closed feedback loop against a scripted
 // ControlPlane (convergence under steady load, hysteresis damping, bounded
 // clamping), WaitGraph cycle oracles, a real-engine deadlock-victim test,
-// and an update_policies-vs-load hammer. Runs in the `sanitizer` ctest
+// an update_policies-vs-load hammer, and EngineStats::delta_since over real
+// snapshots. Runs in the `sanitizer` ctest
 // label (SKY_SANITIZE=address / thread).
 #include <gtest/gtest.h>
 
@@ -357,8 +358,8 @@ db::Schema two_table_schema() {
 TEST(DeadlockDetectorTest, CycleVictimAbortsAndSurvivorCommits) {
   const db::Schema schema = two_table_schema();
   db::EngineOptions options;
-  options.concurrency.itl_slots_per_table = 1;
-  options.concurrency.stall_probability = 0;
+  options.policies.concurrency.itl_slots_per_table = 1;
+  options.policies.concurrency.stall_probability = 0;
   db::Engine engine(schema, options);
   const uint32_t table_a = engine.table_id("a").value();
   const uint32_t table_b = engine.table_id("b").value();
@@ -403,8 +404,8 @@ TEST(DeadlockDetectorTest, CycleVictimAbortsAndSurvivorCommits) {
 TEST(DeadlockDetectorTest, OrderedWritesNeverRefused) {
   const db::Schema schema = two_table_schema();
   db::EngineOptions options;
-  options.concurrency.itl_slots_per_table = 1;
-  options.concurrency.stall_probability = 0;
+  options.policies.concurrency.itl_slots_per_table = 1;
+  options.policies.concurrency.stall_probability = 0;
   db::Engine engine(schema, options);
   const uint32_t table_a = engine.table_id("a").value();
   const uint32_t table_b = engine.table_id("b").value();
@@ -441,9 +442,10 @@ TEST(DeadlockDetectorTest, OrderedWritesNeverRefused) {
 TEST(ControlPlaneConcurrencyTest, UpdatePoliciesVsLoadHammer) {
   const db::Schema schema = two_table_schema();
   db::EngineOptions options;
-  options.concurrency.itl_slots_per_table = 4;
-  options.concurrency.stall_probability = 0;  // no 12s stall draws in a test
-  options.commit_window = kMillisecond / 4;
+  options.policies.concurrency.itl_slots_per_table = 4;
+  // No 12s stall draws in a test.
+  options.policies.concurrency.stall_probability = 0;
+  options.policies.commit.commit_window = kMillisecond / 4;
   db::Engine engine(schema, options);
   const uint32_t table_a = engine.table_id("a").value();
   const uint32_t table_b = engine.table_id("b").value();
@@ -502,6 +504,92 @@ TEST(ControlPlaneConcurrencyTest, UpdatePoliciesVsLoadHammer) {
   const db::EngineStats stats = engine.stats();
   EXPECT_TRUE(stats.policies.transaction_slots.has_value());
   EXPECT_TRUE(stats.policies.commit_window.has_value());
+}
+
+// delta_since on two real stats() snapshots taken around a load: monotone
+// counters (wal, snapshots, extents, cache, row totals) subtract; gauges
+// (wal.max_unflushed_bytes, snapshots.published_lsn / active_pins, the live
+// policies) keep the later snapshot's value.
+TEST(EngineStatsDeltaTest, CountersSubtractAndGaugesKeepLaterValue) {
+  const db::Schema schema = two_table_schema();
+  db::EngineOptions options;
+  options.heap_extents = 2;
+  options.cache_pages = 16;  // small enough that the load evicts
+  options.dirty_trigger = 4;
+  db::Engine engine(schema, options);
+  const uint32_t table_a = engine.table_id("a").value();
+  const auto load = [&](int64_t first, int64_t count) {
+    for (int64_t i = first; i < first + count; i += 50) {
+      std::vector<db::Row> rows;
+      for (int64_t key = i; key < i + 50; ++key) {
+        rows.push_back({db::Value::i64(key)});
+      }
+      const uint64_t txn = engine.begin_transaction();
+      ASSERT_EQ(engine.insert_batch(txn, table_a, rows).rows_applied, 50);
+      ASSERT_TRUE(engine.commit(txn).is_ok());
+    }
+  };
+
+  load(0, 2000);
+  const db::EngineStats before = engine.stats();
+  const db::Snapshot pin = engine.pin_snapshot();
+  db::PolicyPatch patch;
+  patch.transaction_slots = 32;
+  patch.extent_assignment = db::ExtentAssignment::kLeastLoaded;
+  ASSERT_TRUE(engine.update_policies(patch).is_ok());
+  load(2000, 3000);
+  const db::EngineStats after = engine.stats();
+  const db::EngineStats delta = after.delta_since(before);
+
+  // Monotone counters subtract.
+  EXPECT_GT(delta.wal.records, 0);
+  EXPECT_EQ(delta.wal.records, after.wal.records - before.wal.records);
+  EXPECT_EQ(delta.wal.bytes_appended,
+            after.wal.bytes_appended - before.wal.bytes_appended);
+  EXPECT_EQ(delta.wal.flushes, after.wal.flushes - before.wal.flushes);
+  EXPECT_EQ(delta.wal.commit_requests, 60);
+  EXPECT_EQ(delta.snapshots.rows_published, 3000);
+  EXPECT_EQ(delta.snapshots.chunks_published,
+            after.snapshots.chunks_published -
+                before.snapshots.chunks_published);
+  EXPECT_EQ(delta.snapshots.pins_taken, 1);
+  EXPECT_EQ(delta.total_rows, 3000);
+  EXPECT_EQ(delta.total_heap_bytes,
+            after.total_heap_bytes - before.total_heap_bytes);
+  ASSERT_LT(table_a, delta.extents.size());
+  const auto& extents = delta.extents[table_a].extents;
+  ASSERT_EQ(extents.size(), 2u);
+  int64_t extent_rows = 0;
+  for (size_t e = 0; e < extents.size(); ++e) {
+    EXPECT_EQ(extents[e].rows, after.extents[table_a].extents[e].rows -
+                                   before.extents[table_a].extents[e].rows);
+    EXPECT_EQ(extents[e].bytes, after.extents[table_a].extents[e].bytes -
+                                    before.extents[table_a].extents[e].bytes);
+    extent_rows += extents[e].rows;
+  }
+  EXPECT_EQ(extent_rows, 3000);
+  EXPECT_GT(delta.cache.hits + delta.cache.misses, 0);
+  EXPECT_EQ(delta.cache.hits, after.cache.hits - before.cache.hits);
+  EXPECT_EQ(delta.cache.misses, after.cache.misses - before.cache.misses);
+  EXPECT_EQ(delta.cache.dirty_evictions,
+            after.cache.dirty_evictions - before.cache.dirty_evictions);
+  EXPECT_EQ(delta.cache.writer_flushed_pages,
+            after.cache.writer_flushed_pages -
+                before.cache.writer_flushed_pages);
+
+  // Gauges keep the later snapshot's value.
+  EXPECT_GT(after.wal.max_unflushed_bytes, 0);
+  EXPECT_EQ(delta.wal.max_unflushed_bytes, after.wal.max_unflushed_bytes);
+  EXPECT_GT(after.snapshots.published_lsn, before.snapshots.published_lsn);
+  EXPECT_EQ(delta.snapshots.published_lsn, after.snapshots.published_lsn);
+  EXPECT_EQ(delta.snapshots.active_pins, 1);
+  EXPECT_EQ(delta.policies.transaction_slots, 32);
+  EXPECT_NE(before.policies.transaction_slots, 32);
+  EXPECT_EQ(delta.policies.extent_assignment,
+            db::ExtentAssignment::kLeastLoaded);
+  EXPECT_EQ(delta.policies.commit_window, after.policies.commit_window);
+  EXPECT_EQ(delta.policies.max_group_commits,
+            after.policies.max_group_commits);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 #include "db/recovery.h"
 
@@ -37,7 +38,7 @@ Schema frames_objects_schema() {
   objects.col("mag", ColumnType::kDouble);
   objects.primary_key = {"object_id"};
   objects.foreign_keys.push_back(ForeignKey{{"frame_id"}, "frames"});
-  objects.indexes.push_back(IndexDef{"idx_mag", {"mag"}, false});
+  objects.indexes.push_back(IndexDef{"idx_mag", {"mag"}, false, std::nullopt});
   objects.checks.push_back(CheckConstraint{"ra", 0.0, 360.0});
   objects.checks.push_back(CheckConstraint{"dec", -90.0, 90.0});
   EXPECT_TRUE(schema.add_table(objects).is_ok());
@@ -215,7 +216,7 @@ TEST_F(EngineTest, CommitFlushesWal) {
   const auto commit = engine_.commit(txn);
   ASSERT_TRUE(commit.is_ok());
   EXPECT_GT(commit->wal_bytes_flushed, 0);
-  EXPECT_EQ(engine_.wal_stats().flushes, 1);
+  EXPECT_EQ(engine_.stats().wal.flushes, 1);
   // Unknown transaction errors.
   EXPECT_FALSE(engine_.commit(999).is_ok());
   EXPECT_FALSE(engine_.rollback(999).is_ok());
@@ -249,7 +250,7 @@ TEST_F(EngineTest, InsertIntoUnknownTransactionFails) {
 TEST_F(EngineTest, TransactionGateLimitsConcurrency) {
   Schema schema = frames_objects_schema();
   EngineOptions options;
-  options.concurrency.max_concurrent_transactions = 2;
+  options.policies.concurrency.max_concurrent_transactions = 2;
   Engine engine(std::move(schema), options);
   const uint64_t t1 = engine.begin_transaction();
   const uint64_t t2 = engine.begin_transaction();
@@ -264,7 +265,7 @@ TEST_F(EngineTest, TransactionGateLimitsConcurrency) {
   ASSERT_TRUE(engine.commit(t1).is_ok());
   blocked.join();
   EXPECT_TRUE(third_started.load());
-  EXPECT_GE(engine.concurrency_stats().transaction_gate.waits, 1u);
+  EXPECT_GE(engine.stats().concurrency.transaction_gate.waits, 1u);
   ASSERT_TRUE(engine.commit(t2).is_ok());
 }
 
@@ -284,10 +285,10 @@ TEST_F(EngineTest, LeastLoadedExtentAssignmentBalancesSkew) {
     ASSERT_TRUE(engine.insert_row(txn, frames, frame_row(i), costs).is_ok());
     ASSERT_TRUE(engine.commit(txn).is_ok());
   }
-  const auto stats = engine.heap_extent_stats(frames);
-  ASSERT_TRUE(stats.is_ok());
-  ASSERT_EQ(stats->size(), 4u);
-  for (const auto& extent : *stats) {
+  const EngineStats stats = engine.stats();
+  ASSERT_LT(frames, stats.extents.size());
+  ASSERT_EQ(stats.extents[frames].extents.size(), 4u);
+  for (const auto& extent : stats.extents[frames].extents) {
     EXPECT_EQ(extent.rows, 4) << "least-loaded should balance equal rows";
   }
   EXPECT_TRUE(engine.verify_integrity().is_ok());
@@ -309,10 +310,10 @@ TEST_F(EngineTest, LeastLoadedExtentAssignmentBalancesSkew) {
     ASSERT_TRUE(engine.insert_row(txn, frames, frame_row(i), costs).is_ok());
     ASSERT_TRUE(engine.commit(txn).is_ok());
   }
-  const auto after = engine.heap_extent_stats(frames);
-  ASSERT_TRUE(after.is_ok());
+  const EngineStats after = engine.stats();
+  ASSERT_LT(frames, after.extents.size());
   // Extent 0 held 44 rows before the six balanced inserts; none land there.
-  EXPECT_EQ((*after)[0].rows, 44);
+  EXPECT_EQ(after.extents[frames].extents[0].rows, 44);
 }
 
 TEST_F(EngineTest, SecondaryIndexRangeQuery) {

@@ -13,6 +13,7 @@
 #include "catalog/pq_schema.h"
 #include "client/session.h"
 #include "core/coordinator.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 #include "db/query_scheduler.h"
 
@@ -169,22 +170,18 @@ TEST(EngineConcurrencyTest, MixedWritersReadersTelemetry) {
     });
   }
 
-  // Telemetry poller: every getter must return a coherent snapshot while
-  // writers run.
+  // Telemetry poller: stats() and wal_records() must return coherent
+  // snapshots while writers run.
   threads.emplace_back([&] {
     size_t last_record_count = 0;
     while (!stop_readers.load()) {
-      const storage::WalStats wal = engine.wal_stats();
-      EXPECT_GE(wal.bytes_appended, wal.bytes_flushed);
+      const db::EngineStats stats = engine.stats();
+      EXPECT_GE(stats.wal.bytes_appended, stats.wal.bytes_flushed);
       // records() is a snapshot of an append-only stream: monotonic.
       const auto records = engine.wal_records();
       EXPECT_GE(records.size(), last_record_count);
       last_record_count = records.size();
-      const storage::CacheEvents cache = engine.cache_events();
-      EXPECT_GE(cache.misses, 0);
-      const storage::IoTally io = engine.io_tally();
-      EXPECT_GE(io.log_bytes_flushed, 0);
-      (void)engine.concurrency_stats();
+      EXPECT_GE(stats.cache.misses, 0);
       std::this_thread::yield();
     }
   });
@@ -298,8 +295,7 @@ TEST(EngineConcurrencyTest, ShardedSameTableAppendRollbackScanStress) {
   threads.emplace_back([&] {
     while (!stop_readers.load()) {
       (void)engine.live_view().scan_collect(tid, [](const db::Row&) { return true; });
-      const auto stats = engine.heap_extent_stats(tid);
-      EXPECT_TRUE(stats.is_ok());
+      EXPECT_LT(tid, engine.stats().extents.size());
       std::this_thread::yield();
     }
   });
@@ -326,12 +322,13 @@ TEST(EngineConcurrencyTest, ShardedSameTableAppendRollbackScanStress) {
   // extents. 48 transactions round-robin over 8 extents and only 8 roll
   // back, so at most one extent can end up empty.
   EXPECT_EQ(engine.live_view().row_count(tid), committed_rows.load());
-  const auto stats = engine.heap_extent_stats(tid);
-  ASSERT_TRUE(stats.is_ok());
-  ASSERT_EQ(stats->size(), 8u);
+  const db::EngineStats stats = engine.stats();
+  ASSERT_LT(tid, stats.extents.size());
+  const auto& extents = stats.extents[tid].extents;
+  ASSERT_EQ(extents.size(), 8u);
   int64_t extent_rows = 0;
   int populated = 0;
-  for (const auto& extent : *stats) {
+  for (const auto& extent : extents) {
     extent_rows += extent.rows;
     populated += extent.rows > 0 ? 1 : 0;
   }
@@ -353,7 +350,8 @@ TEST(EngineConcurrencyTest, ItlGateContentionWithAborts) {
   hot.primary_key = {"id"};
   ASSERT_TRUE(schema.add_table(hot).is_ok());
   db::EngineOptions options;
-  options.concurrency.itl_slots_per_table = 2;  // slots < writers: must queue
+  // Slots < writers: must queue.
+  options.policies.concurrency.itl_slots_per_table = 2;
   db::Engine engine(schema, options);
   const uint32_t tid = engine.table_id("hot").value();
 
@@ -378,10 +376,10 @@ TEST(EngineConcurrencyTest, ItlGateContentionWithAborts) {
       EXPECT_EQ(engine.insert_batch(txn, tid, r3).rows_applied, 1);
       EXPECT_TRUE(engine.commit(txn).is_ok());
     });
-    while (engine.concurrency_stats().itl.waits < 1) {
+    while (engine.stats().concurrency.itl.waits < 1) {
       std::this_thread::yield();
     }
-    EXPECT_EQ(engine.concurrency_stats().itl.in_use, 2);
+    EXPECT_EQ(engine.stats().concurrency.itl.in_use, 2);
     EXPECT_TRUE(engine.rollback(h1).is_ok());  // abort path frees the slot
     EXPECT_TRUE(engine.commit(h2).is_ok());
     queued.join();
@@ -418,7 +416,7 @@ TEST(EngineConcurrencyTest, ItlGateContentionWithAborts) {
   std::atomic<bool> stop_poller{false};
   threads.emplace_back([&] {
     while (!stop_poller.load()) {
-      const db::ConcurrencyStats stats = engine.concurrency_stats();
+      const db::ConcurrencyStats stats = engine.stats().concurrency;
       EXPECT_GE(stats.itl.in_use, 0);
       EXPECT_LE(stats.itl.in_use, 2);
       std::this_thread::yield();
@@ -428,7 +426,7 @@ TEST(EngineConcurrencyTest, ItlGateContentionWithAborts) {
   stop_poller.store(true);
   threads.back().join();
 
-  const db::ConcurrencyStats stats = engine.concurrency_stats();
+  const db::ConcurrencyStats stats = engine.stats().concurrency;
   // Six writers over two slots must actually have queued.
   EXPECT_GT(stats.itl.waits, 0u);
   EXPECT_GT(stats.itl.total_wait, 0);
@@ -526,7 +524,8 @@ TEST(EngineConcurrencyTest, BatchAdmissionYieldsToInteractiveInFlight) {
   EXPECT_GE(stats.batch_yields, 1);
   EXPECT_EQ(stats.batch.completed, 1);
   EXPECT_EQ(stats.interactive.completed, 1);
-  EXPECT_EQ(stats.snapshot_pins, 0);  // every admission unpinned
+  // Every admission unpinned.
+  EXPECT_EQ(engine.stats().snapshots.active_pins, 0);
 }
 
 // Scheduler stress for the sanitizer legs: six loaders append committed
@@ -641,7 +640,7 @@ TEST(EngineConcurrencyTest, QuerySchedulerMixedWorkloadStress) {
             static_cast<int64_t>(kInteractive) * kOpsPerInteractive);
   EXPECT_EQ(stats.batch.completed,
             static_cast<int64_t>(kBatchScanners) * kOpsPerBatch);
-  EXPECT_EQ(stats.snapshot_pins, 0);
+  EXPECT_EQ(engine.stats().snapshots.active_pins, 0);
   EXPECT_EQ(stats.interactive.queue_depth, 0);
   EXPECT_EQ(stats.batch.queue_depth, 0);
   // Everything committed is in the final snapshot.
@@ -679,7 +678,7 @@ TEST(EngineConcurrencyTest, GroupCommitAccounting) {
   }
   for (std::thread& thread : threads) thread.join();
 
-  const storage::WalStats wal = engine.wal_stats();
+  const storage::WalStats wal = engine.stats().wal;
   EXPECT_EQ(wal.bytes_flushed, wal.bytes_appended);
   EXPECT_EQ(engine.live_view().row_count(tid), kThreads * 50);
   EXPECT_TRUE(engine.verify_integrity().is_ok());

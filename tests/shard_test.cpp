@@ -1,7 +1,8 @@
 // Multi-engine scale-out battery: the HTM-range router's ownership property
 // (every row lands on the shard whose trixel slice contains it, boundary
 // trixels included), scatter-gather reads byte-identical to a single-shard
-// oracle (pk_range / pk_lookup / cone_search), batch run-splitting under
+// oracle (pk_range / pk_lookup / index_range / the encoded-key ranges /
+// cone_search), batch run-splitting under
 // the JDBC prefix contract (row and columnar paths), equal-frequency
 // boundary planning holding skew under 1.5 on a clustered footprint, and
 // cross-shard FK reconciliation (convergence and orphan detection).
@@ -9,13 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "db/spatial.h"
 #include "htm/htm.h"
+#include "index/key_codec.h"
 
 namespace sky::db {
 namespace {
@@ -213,6 +217,37 @@ class ShardScatterGatherTest : public ::testing::Test {
     ASSERT_TRUE(oracle_.commit(txn).is_ok());
   }
 
+  // The ix_htm trixel-id range holding the middle 60% of the rows: wide
+  // enough to cross shard boundaries.
+  static std::pair<int64_t, int64_t> middle_trixels(
+      const std::vector<double>& ra, const std::vector<double>& dec) {
+    std::vector<int64_t> ids;
+    for (size_t i = 0; i < ra.size(); ++i) {
+      ids.push_back(
+          static_cast<int64_t>(htm::htm_id_radec(ra[i], dec[i], kIndexDepth)));
+    }
+    std::sort(ids.begin(), ids.end());
+    return {ids[ids.size() / 5], ids[ids.size() * 4 / 5]};
+  }
+
+  static std::string int64_key(int64_t value) {
+    index::KeyEncoder encoder;
+    encoder.append_int64(value);
+    return encoder.take();
+  }
+
+  // How many shards contribute rows to `read` (the range really scatters).
+  static int shards_with_rows(
+      const ShardedReadView& view,
+      const std::function<Result<std::vector<Row>>(const ReadView&)>& read) {
+    int shards = 0;
+    for (int s = 0; s < view.shard_count(); ++s) {
+      const auto rows = read(view.shard_view(s));
+      if (rows.is_ok() && !rows->empty()) ++shards;
+    }
+    return shards;
+  }
+
   Schema schema_;
   ShardedRepository repo_;
   Engine oracle_;
@@ -255,6 +290,64 @@ TEST_F(ShardScatterGatherTest, PkLookupFindsRowsOnEveryShard) {
   }
   EXPECT_EQ(view.pk_lookup(obj_, {Value::i64(100000)}).status().code(),
             ErrorCode::kNotFound);
+}
+
+TEST_F(ShardScatterGatherTest, IndexRangesByteIdenticalToOracle) {
+  Rng rng(0x5AD0008);
+  std::vector<double> ra, dec;
+  band_catalog(rng, 300, &ra, &dec);
+  load_both(obj_, object_rows(ra, dec));
+  const auto [lo, hi] = middle_trixels(ra, dec);
+  const ShardedReadView view = repo_.read_view();
+
+  const auto read = [&](const ReadView& shard) {
+    return shard.index_range(obj_, "ix_htm", {Value::i64(lo)},
+                             {Value::i64(hi)});
+  };
+  const auto sharded =
+      view.index_range(obj_, "ix_htm", {Value::i64(lo)}, {Value::i64(hi)});
+  const auto single = read(oracle_.live_view());
+  ASSERT_TRUE(sharded.is_ok());
+  ASSERT_TRUE(single.is_ok());
+  EXPECT_GE(shards_with_rows(view, read), 2);
+  expect_rows_identical(*sharded, *single);
+
+  const std::string lo_key = int64_key(lo);
+  const std::string hi_key = int64_key(hi);
+  const auto read_encoded = [&](const ReadView& shard) {
+    return shard.index_encoded_range(obj_, "ix_htm", lo_key, hi_key);
+  };
+  const auto sharded_encoded =
+      view.index_encoded_range(obj_, "ix_htm", lo_key, hi_key);
+  const auto single_encoded = read_encoded(oracle_.live_view());
+  ASSERT_TRUE(sharded_encoded.is_ok());
+  ASSERT_TRUE(single_encoded.is_ok());
+  EXPECT_GE(shards_with_rows(view, read_encoded), 2);
+  expect_rows_identical(*sharded_encoded, *single_encoded);
+}
+
+TEST_F(ShardScatterGatherTest, PkEncodedRangeByteIdenticalToOracle) {
+  Rng rng(0x5AD0009);
+  std::vector<double> ra, dec;
+  band_catalog(rng, 300, &ra, &dec);
+  load_both(obj_, object_rows(ra, dec));
+
+  const ShardedReadView view = repo_.read_view();
+  // A bounded range, then an empty `hi` (unbounded above).
+  for (const auto& [lo, hi] :
+       {std::pair{int64_key(40), int64_key(260)},
+        std::pair{int64_key(150), std::string()}}) {
+    const auto read = [&](const ReadView& shard) {
+      return shard.pk_encoded_range(obj_, lo, hi);
+    };
+    const auto sharded = view.pk_encoded_range(obj_, lo, hi);
+    const auto single = read(oracle_.live_view());
+    ASSERT_TRUE(sharded.is_ok());
+    ASSERT_TRUE(single.is_ok());
+    EXPECT_FALSE(single->empty());
+    EXPECT_GE(shards_with_rows(view, read), 2);
+    expect_rows_identical(*sharded, *single);
+  }
 }
 
 TEST_F(ShardScatterGatherTest, ConeSearchByteIdenticalAndPruned) {

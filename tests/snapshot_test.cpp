@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 #include "db/query_scheduler.h"
 #include "index/key_codec.h"
@@ -196,7 +197,7 @@ TEST_F(SnapshotTest, BulkLoadSortedPublishesOneChunk) {
     rows.push_back(batch_row(pk, pk % 4, pk, 32));
   }
   ASSERT_TRUE(engine_.bulk_load_sorted(table_, rows).is_ok());
-  const SnapshotStats stats = engine_.snapshot_stats();
+  const SnapshotStats stats = engine_.stats().snapshots;
   EXPECT_EQ(stats.chunks_published, 1);
   EXPECT_EQ(stats.rows_published, 32);
   const Snapshot snap = engine_.pin_snapshot();
@@ -481,7 +482,7 @@ TEST_F(SnapshotTest, ConcurrentLoadersSnapshotConsistencyProperty) {
       engine.live_view().scan_collect(table, [](const Row&) { return true; });
   EXPECT_EQ(all, live);
   EXPECT_TRUE(engine.verify_integrity().is_ok());
-  const SnapshotStats stats = engine.snapshot_stats();
+  const SnapshotStats stats = engine.stats().snapshots;
   EXPECT_EQ(stats.active_pins, 1);  // final_snap
   EXPECT_EQ(stats.rows_published, engine.live_view().row_count(table));
 }
