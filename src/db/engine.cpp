@@ -320,63 +320,79 @@ Status Engine::rollback(uint64_t txn_id) {
 
 // ----------------------------------------------------------------- inserts
 
-BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
-                                 std::span<const Row> rows) {
-  BatchResult result;
+template <typename Body>
+Status Engine::insert_envelope(uint64_t txn_id, uint32_t tid, OpCosts& costs,
+                               std::optional<uint32_t> extent_override,
+                               Body&& body) {
   Transaction* txn = find_transaction(txn_id);
   if (txn == nullptr) {
-    result.error = BatchError{
-        0, Status(ErrorCode::kFailedPrecondition,
-                  "insert: unknown transaction")};
-    ++result.costs.constraint_failures;
-    return result;
+    ++costs.constraint_failures;
+    return Status(ErrorCode::kFailedPrecondition,
+                  "insert: unknown transaction");
   }
   if (tid >= tables_.size()) {
-    result.error =
-        BatchError{0, Status(ErrorCode::kNotFound, "insert: bad table id")};
-    ++result.costs.constraint_failures;
-    return result;
+    ++costs.constraint_failures;
+    return Status(ErrorCode::kNotFound, "insert: bad table id");
   }
   // ITL admission precedes the engine rwlock in the lock order: a session
   // blocked on a full gate holds no engine lock, so DDL and rollback (which
   // take the rwlock exclusive) can always drain ahead of it.
-  const Result<TableAdmission> admitted = admit_table(*txn, tid, result.costs);
-  if (!admitted.is_ok()) {
-    result.error = BatchError{0, admitted.status()};
-    ++result.costs.constraint_failures;
-    return result;
+  const Result<TableAdmission> admission = admit_table(*txn, tid, costs);
+  if (!admission.is_ok()) {
+    ++costs.constraint_failures;
+    return admission.status();
   }
-  const TableAdmission admission = *admitted;
-  result.costs.lock_wait_ns += lock_shared_timed(engine_mu_);
-  std::shared_lock<std::shared_mutex> engine_lock(engine_mu_, std::adopt_lock);
+  costs.lock_wait_ns += lock_shared_timed(engine_mu_);
   {
-    const CostScope scope(&result.costs);
+    const std::shared_lock<std::shared_mutex> engine_lock(engine_mu_,
+                                                          std::adopt_lock);
+    const CostScope scope(&costs);
     // Cache deltas are exact when calls don't overlap (single-threaded and
-    // simulation runs); under real concurrency a batch may absorb events
+    // simulation runs); under real concurrency a call may absorb events
     // from neighbours — fine for the aggregate telemetry they feed.
     const storage::CacheEvents cache_before = cache_.events();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Status status = insert_row_latched(*txn, tid, rows[i],
-                                               result.costs, admission.extent);
-      if (!status.is_ok()) {
-        // JDBC semantics: earlier rows stay, this row failed, the remainder
-        // of the batch is discarded.
-        result.error = BatchError{i, status};
-        ++result.costs.constraint_failures;
-        break;
-      }
-      ++result.rows_applied;
-    }
-    result.costs.rows_applied = result.rows_applied;
-    result.costs.cache = cache_.events().since(cache_before);
+    body(*txn, extent_override.value_or(admission->extent));
+    costs.cache += cache_.events().since(cache_before);
   }
-  engine_lock.unlock();
   const double escalation =
-      admission.contended
+      admission->contended
           ? options_.policies.concurrency.lock_escalation_factor *
-                static_cast<double>(1 + admission.queue_depth)
+                static_cast<double>(1 + admission->queue_depth)
           : 0.0;
-  pay_batch_latency(result.costs, escalation);
+  pay_batch_latency(costs, escalation);
+  return ok_status();
+}
+
+template <typename RowAt>
+void Engine::insert_rows_latched(Transaction& txn, uint32_t tid, size_t count,
+                                 const RowAt& row_at, uint32_t extent,
+                                 BatchResult& result) {
+  for (size_t i = 0; i < count; ++i) {
+    const Status status =
+        insert_row_latched(txn, tid, row_at(i), result.costs, extent);
+    if (!status.is_ok()) {
+      // JDBC semantics: earlier rows stay, this row failed, the remainder
+      // of the batch is discarded.
+      result.error = BatchError{i, status};
+      ++result.costs.constraint_failures;
+      return;
+    }
+    ++result.rows_applied;
+  }
+}
+
+BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
+                                 std::span<const Row> rows) {
+  BatchResult result;
+  const Status admitted = insert_envelope(
+      txn_id, tid, result.costs, std::nullopt,
+      [&](Transaction& txn, uint32_t extent) {
+        insert_rows_latched(
+            txn, tid, rows.size(),
+            [&](size_t i) -> const Row& { return rows[i]; }, extent, result);
+      });
+  if (!admitted.is_ok()) result.error = BatchError{0, admitted};
+  result.costs.rows_applied = result.rows_applied;
   return result;
 }
 
@@ -405,22 +421,20 @@ struct Engine::ColumnRun {
   std::vector<SecondaryKeys> secondaries;
 };
 
-bool Engine::column_run_eligible(const Table& table, uint32_t tid,
+bool Engine::column_run_eligible(const Table& table,
                                  const ColumnBatch& batch) const {
   // A run settles every constraint before it appends, so it needs the
-  // batch's column layout to match the table, no enabled unique secondary
-  // index (a run row may collide with a later run row on a non-PK key), and
-  // no self-referential FK (a run row may parent a later run row). Those
-  // tables take the row-at-a-time path.
+  // batch's column layout to match the table and no enabled unique
+  // secondary index (a run row may collide with a later run row on a non-PK
+  // key). Those tables take the row-at-a-time path. FKs never reference
+  // their own table (Schema::add_table rejects it), so a run row cannot
+  // parent a later run row.
   if (batch.num_columns() != table.def().columns.size()) return false;
   for (size_t c = 0; c < batch.num_columns(); ++c) {
     if (batch.column_type(c) != table.def().columns[c].type) return false;
   }
   for (const SecondaryIndex& secondary : table.secondaries()) {
     if (secondary.enabled && secondary.def.unique) return false;
-  }
-  for (const uint32_t parent_id : table.fk_parent_ids) {
-    if (parent_id == tid) return false;
   }
   return true;
 }
@@ -430,85 +444,45 @@ BatchResult Engine::insert_column_batch(uint64_t txn_id, uint32_t tid,
                                         size_t count,
                                         std::optional<uint32_t> extent_override) {
   BatchResult result;
-  Transaction* txn = find_transaction(txn_id);
-  if (txn == nullptr) {
-    result.error = BatchError{
-        0, Status(ErrorCode::kFailedPrecondition,
-                  "insert: unknown transaction")};
-    ++result.costs.constraint_failures;
-    return result;
-  }
-  if (tid >= tables_.size()) {
-    result.error =
-        BatchError{0, Status(ErrorCode::kNotFound, "insert: bad table id")};
-    ++result.costs.constraint_failures;
-    return result;
-  }
-  if (first > batch.size()) first = batch.size();
+  first = std::min(first, batch.size());
   count = std::min(count, batch.size() - first);
-  // Same admission-before-rwlock envelope as insert_batch.
-  const Result<TableAdmission> admitted = admit_table(*txn, tid, result.costs);
-  if (!admitted.is_ok()) {
-    result.error = BatchError{0, admitted.status()};
-    ++result.costs.constraint_failures;
-    return result;
-  }
-  const TableAdmission admission = *admitted;
-  const uint32_t extent = extent_override.value_or(admission.extent);
-  result.costs.lock_wait_ns += lock_shared_timed(engine_mu_);
-  std::shared_lock<std::shared_mutex> engine_lock(engine_mu_, std::adopt_lock);
-  {
-    const CostScope scope(&result.costs);
-    const storage::CacheEvents cache_before = cache_.events();
-    const Table& table = tables_[tid];
-    if (column_run_eligible(table, tid, batch)) {
-      // Split the batch into sub-runs: each ends where the primary keys stop
-      // increasing or at the cap, whichever comes first, and is settled
-      // under one exclusive index-latch window. The cap starts at
-      // kFirstSubRunRows and grows by the rows applied so far (64, 128, 256,
-      // ... on a clean batch), so the encoding done past a reject is never
-      // more than the rows this call applied plus the first cap.
-      size_t done = 0;
-      while (done < count) {
-        ColumnRun run;
-        prepare_column_run(table, batch, first + done,
-                           std::min(kFirstSubRunRows + done, count - done),
-                           run, result.costs);
-        std::optional<Status> failure;
-        const size_t applied = insert_column_run_latched(
-            *txn, tid, batch, first + done, run, extent, result.costs,
-            failure);
-        done += applied;
-        if (failure.has_value()) {
-          // The failing row is the first one the sub-run did not apply.
-          result.error = BatchError{done, std::move(*failure)};
-          ++result.costs.constraint_failures;
-          break;
+  const Status admitted = insert_envelope(
+      txn_id, tid, result.costs, extent_override,
+      [&](Transaction& txn, uint32_t extent) {
+        const Table& table = tables_[tid];
+        if (!column_run_eligible(table, batch)) {
+          insert_rows_latched(
+              txn, tid, count, [&](size_t i) { return batch.row(first + i); },
+              extent, result);
+          return;
         }
-      }
-      result.rows_applied = static_cast<int64_t>(done);
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        const Status status = insert_row_latched(
-            *txn, tid, batch.row(first + i), result.costs, extent);
-        if (!status.is_ok()) {
-          result.error = BatchError{i, status};
-          ++result.costs.constraint_failures;
-          break;
+        // Split the batch into sub-runs: each ends where the primary keys
+        // stop increasing or at the cap, whichever comes first, and is
+        // settled under one exclusive index-latch window. The cap starts at
+        // kFirstSubRunRows and grows by the rows applied so far (64, 128,
+        // 256, ... on a clean batch), so the encoding done past a reject is
+        // never more than the rows this call applied plus the first cap.
+        size_t done = 0;
+        while (done < count) {
+          ColumnRun run;
+          prepare_column_run(table, batch, first + done,
+                             std::min(kFirstSubRunRows + done, count - done),
+                             run, result.costs);
+          std::optional<Status> failure;
+          done += insert_column_run_latched(txn, tid, batch, first + done,
+                                            run, extent, result.costs,
+                                            failure);
+          if (failure.has_value()) {
+            // The failing row is the first one the sub-run did not apply.
+            result.error = BatchError{done, std::move(*failure)};
+            ++result.costs.constraint_failures;
+            break;
+          }
         }
-        ++result.rows_applied;
-      }
-    }
-    result.costs.rows_applied = result.rows_applied;
-    result.costs.cache = cache_.events().since(cache_before);
-  }
-  engine_lock.unlock();
-  const double escalation =
-      admission.contended
-          ? options_.policies.concurrency.lock_escalation_factor *
-                static_cast<double>(1 + admission.queue_depth)
-          : 0.0;
-  pay_batch_latency(result.costs, escalation);
+        result.rows_applied = static_cast<int64_t>(done);
+      });
+  if (!admitted.is_ok()) result.error = BatchError{0, admitted};
+  result.costs.rows_applied = result.rows_applied;
   return result;
 }
 
@@ -905,45 +879,17 @@ size_t Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
 Status Engine::insert_row(uint64_t txn_id, uint32_t tid, const Row& row,
                           OpCosts& costs,
                           std::optional<uint32_t> extent_override) {
-  Transaction* txn = find_transaction(txn_id);
-  if (txn == nullptr) {
-    ++costs.constraint_failures;
-    return Status(ErrorCode::kFailedPrecondition,
-                  "insert: unknown transaction");
-  }
-  if (tid >= tables_.size()) {
-    ++costs.constraint_failures;
-    return Status(ErrorCode::kNotFound, "insert: bad table id");
-  }
-  // Same admission-before-rwlock ordering as insert_batch.
-  const Result<TableAdmission> admitted = admit_table(*txn, tid, costs);
-  if (!admitted.is_ok()) {
-    ++costs.constraint_failures;
-    return admitted.status();
-  }
-  const TableAdmission admission = *admitted;
-  costs.lock_wait_ns += lock_shared_timed(engine_mu_);
-  std::shared_lock<std::shared_mutex> engine_lock(engine_mu_, std::adopt_lock);
   Status status = ok_status();
-  {
-    const CostScope scope(&costs);
-    const storage::CacheEvents cache_before = cache_.events();
-    status = insert_row_latched(*txn, tid, row, costs,
-                                extent_override.value_or(admission.extent));
-    if (status.is_ok()) {
-      costs.rows_applied += 1;
-    } else {
-      ++costs.constraint_failures;
-    }
-    costs.cache += cache_.events().since(cache_before);
-  }
-  engine_lock.unlock();
-  const double escalation =
-      admission.contended
-          ? options_.policies.concurrency.lock_escalation_factor *
-                static_cast<double>(1 + admission.queue_depth)
-          : 0.0;
-  pay_batch_latency(costs, escalation);
+  SKY_RETURN_IF_ERROR(insert_envelope(
+      txn_id, tid, costs, extent_override,
+      [&](Transaction& txn, uint32_t extent) {
+        status = insert_row_latched(txn, tid, row, costs, extent);
+        if (status.is_ok()) {
+          costs.rows_applied += 1;
+        } else {
+          ++costs.constraint_failures;
+        }
+      }));
   return status;
 }
 
@@ -999,9 +945,8 @@ Status Engine::validate_row(const Table& table, const Row& row,
   return ok_status();
 }
 
-Status Engine::check_constraints(const Table& table, uint32_t tid,
-                                 const Row& row, const std::string& pk_key,
-                                 OpCosts& costs) {
+Status Engine::check_constraints(const Table& table, const Row& row,
+                                 const std::string& pk_key, OpCosts& costs) {
   // Primary key uniqueness.
   index::BPlusTree::TouchInfo pk_probe;
   if (table.pk_tree().lookup_with_touch(pk_key, &pk_probe).has_value()) {
@@ -1021,19 +966,14 @@ Status Engine::check_constraints(const Table& table, uint32_t tid,
       options_.enforce_foreign_keys ? table.def().foreign_keys.size() : 0;
   for (size_t f = 0; f < row_fk_count; ++f) {
     const ForeignKey& fk = table.def().foreign_keys[f];
-    const uint32_t parent_id = table.fk_parent_ids[f];
-    const Table& parent = tables_[parent_id];
+    const Table& parent = tables_[table.fk_parent_ids[f]];
     const auto probe =
         Table::encode_fk_probe(table.def(), fk, row, parent.def());
     ++costs.fk_checks;
     if (!probe.has_value()) continue;  // NULL FK passes
     index::BPlusTree::TouchInfo fk_touch;
     bool parent_has_row = false;
-    if (parent_id == tid) {
-      // Self-reference: the caller's latch on our index already covers it.
-      parent_has_row =
-          parent.pk_tree().lookup_with_touch(*probe, &fk_touch).has_value();
-    } else {
+    {
       costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
       const std::shared_lock<std::shared_mutex> parent_latch(
           parent.index_latch(), std::adopt_lock);
@@ -1086,7 +1026,7 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
     costs.lock_wait_ns += lock_shared_timed(table.index_latch());
     const std::shared_lock<std::shared_mutex> index_latch(table.index_latch(),
                                                           std::adopt_lock);
-    SKY_RETURN_IF_ERROR(check_constraints(table, tid, row, pk_key, costs));
+    SKY_RETURN_IF_ERROR(check_constraints(table, row, pk_key, costs));
   }
 
   // Phase 2 — append to the admitted extent as a hidden pending row.
@@ -1127,7 +1067,7 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
     assert(discarded.is_ok());
     (void)discarded;
     OpCosts scratch;
-    const Status failure = check_constraints(table, tid, row, pk_key, scratch);
+    const Status failure = check_constraints(table, row, pk_key, scratch);
     if (failure.is_ok()) {
       return Status(ErrorCode::kInternal,
                     table.def().name + ": insert race re-check mismatch");
@@ -1353,24 +1293,6 @@ int64_t Engine::total_heap_bytes() const {
   return total;
 }
 
-std::string Engine::encode_tuple_key(const TableDef& def,
-                                     const std::vector<int>& column_indices,
-                                     const Row& values) const {
-  index::KeyEncoder encoder;
-  for (size_t i = 0; i < values.size() && i < column_indices.size(); ++i) {
-    const int idx = column_indices[i];
-    append_value_to_key(encoder, values[i],
-                        def.columns[static_cast<size_t>(idx)].type);
-  }
-  return encoder.take();
-}
-
-Result<Row> Engine::row_at(const Table& table, uint64_t row_id) const {
-  SKY_ASSIGN_OR_RETURN(const std::string_view bytes,
-                       table.heap().read(row_id_slot(row_id)));
-  return decode_row(bytes);
-}
-
 Result<bool> Engine::index_enabled(uint32_t tid,
                                    std::string_view index_name) const {
   const std::shared_lock<std::shared_mutex> engine_lock(engine_mu_);
@@ -1438,52 +1360,6 @@ Status index_unavailable_error(std::string_view index_name,
     message += ")";
   }
   return Status(ErrorCode::kFailedPrecondition, std::move(message));
-}
-
-Result<std::vector<Row>> Engine::snapshot_collect_range(
-    const Snapshot& snap, uint32_t table_id, int secondary,
-    std::string_view index_name, const std::string& lo,
-    const std::string& hi) const {
-  if (table_id >= tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  // (encoded key, row bytes) hits across all visible chunks. Keys are
-  // globally unique — PKs by constraint, non-unique secondary keys by their
-  // row-id suffix — so a plain sort yields live-index order.
-  std::vector<std::pair<std::string_view, std::string_view>> hits;
-  Status failure = ok_status();
-  snap.visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
-    if (!failure.is_ok()) return;
-    const std::vector<std::pair<std::string, uint32_t>>* run = &chunk.pk;
-    if (secondary >= 0) {
-      const auto s = static_cast<size_t>(secondary);
-      if (s >= chunk.secondaries.size() || !chunk.secondaries[s].has_value()) {
-        failure = index_unavailable_error(
-            index_name,
-            "snapshot chunk predates index: committed while it was disabled");
-        return;
-      }
-      run = &*chunk.secondaries[s];
-    }
-    auto it = std::lower_bound(
-        run->begin(), run->end(), lo,
-        [](const std::pair<std::string, uint32_t>& entry,
-           const std::string& k) { return entry.first < k; });
-    for (; it != run->end(); ++it) {
-      if (!hi.empty() && it->first >= hi) break;
-      hits.emplace_back(it->first, chunk.rows[it->second].bytes);
-    }
-  });
-  SKY_RETURN_IF_ERROR(failure);
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Row> rows;
-  rows.reserve(hits.size());
-  for (const auto& [key, bytes] : hits) {
-    SKY_ASSIGN_OR_RETURN(Row row, decode_row(bytes));
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 // --------------------------------------------------------------- telemetry

@@ -220,9 +220,9 @@ class Engine {
   // acquisition (ShardedHeap::append_batch), logs one kInsertBatch WAL
   // record, and takes one sorted-run merge per B+tree (insert_sorted_run);
   // its row bytes, WAL payload and secondary-key prefixes are encoded before
-  // the window opens. Tables with an enabled unique secondary index or a
-  // self-referential FK take the row-at-a-time path (identical semantics,
-  // no speedup). `extent_override` pins the heap extent like insert_row's.
+  // the window opens. Tables with an enabled unique secondary index take the
+  // row-at-a-time path (identical semantics, no speedup). `extent_override`
+  // pins the heap extent like insert_row's.
   BatchResult insert_column_batch(
       uint64_t txn_id, uint32_t table_id, const ColumnBatch& batch,
       size_t first = 0, size_t count = static_cast<size_t>(-1),
@@ -253,7 +253,7 @@ class Engine {
   // The unified read API (db/read_view.h): one handle carrying every read
   // operation, constructed live or over a pinned snapshot. All query code —
   // the planner, the spatial operators, the scheduler's admitted queries —
-  // reads through a ReadView; the per-mode method families below are shims.
+  // reads through a ReadView.
   ReadView live_view() const { return ReadView(this, nullptr); }
   // View of the pinned committed prefix; reads take no engine lock, table
   // latch, extent latch, or gate. `snap` must outlive the returned view.
@@ -276,10 +276,6 @@ class Engine {
   // Is the named secondary index currently enabled?
   Result<bool> index_enabled(uint32_t table_id,
                              std::string_view index_name) const;
-
-  // The pre-ReadView per-mode read families (pk_lookup / snapshot_* /
-  // scan_heap shims) were deprecated and have been removed — every read
-  // goes through live_view() / view_at() (see DESIGN.md §10).
 
   // ----------------------------------------------------------- control plane
   // The engine's one telemetry call: WAL, admission gates, query lanes,
@@ -381,6 +377,24 @@ class Engine {
   // victim; its transaction stays live so the caller can roll back).
   Result<TableAdmission> admit_table(Transaction& txn, uint32_t table_id,
                                      OpCosts& costs);
+  // The one envelope around every insert entry point: resolve the
+  // transaction and table, admit to the table (before the rwlock), run
+  // `body(txn, extent)` under the engine rwlock shared with `costs` as the
+  // active cost scope (cache delta added to costs.cache), then pay the
+  // modeled device latency, escalated when admission was contended. The
+  // extent is `extent_override` or the admitted one. Returns the first
+  // envelope step's failure (counted in costs.constraint_failures) without
+  // running the body; the body reports its own outcome.
+  template <typename Body>  // void(Transaction&, uint32_t extent)
+  Status insert_envelope(uint64_t txn_id, uint32_t tid, OpCosts& costs,
+                         std::optional<uint32_t> extent_override, Body&& body);
+  // Rows [0, count) one at a time through insert_row_latched, JDBC
+  // semantics: stops at the first failure, recorded in `result.error`.
+  // `row_at(i)` yields row i (a reference where the rows already exist).
+  template <typename RowAt>
+  void insert_rows_latched(Transaction& txn, uint32_t tid, size_t count,
+                           const RowAt& row_at, uint32_t extent,
+                           BatchResult& result);
   // One row, three phases: pre-check constraints (index latch shared),
   // append to the admitted heap extent as a hidden pending row (extent
   // latch only — parallel across extents), then re-check and publish (index
@@ -393,9 +407,8 @@ class Engine {
   static constexpr size_t kRowIdKeyBytes = 9;
   struct ColumnRun;
   // Can the run path settle this batch for this table? (Column layout
-  // matches; no enabled unique secondary index; no self-referential FK.)
-  bool column_run_eligible(const Table& table, uint32_t tid,
-                           const ColumnBatch& batch) const;
+  // matches; no enabled unique secondary index.)
+  bool column_run_eligible(const Table& table, const ColumnBatch& batch) const;
   // Encode one sub-run, no latch held: up to `max_rows` rows from `first`,
   // ending early where the primary keys stop increasing. Fills the keys,
   // the validation screen's verdict, row bytes, WAL payload and secondary
@@ -416,7 +429,7 @@ class Engine {
   // Constraint checks against the current trees (PK, FK, unique secondary).
   // Caller holds the table's index latch (shared or exclusive); parents'
   // index latches are taken shared inside. Returns the first violation.
-  Status check_constraints(const Table& table, uint32_t tid, const Row& row,
+  Status check_constraints(const Table& table, const Row& row,
                            const std::string& pk_key, OpCosts& costs);
   Status validate_row(const Table& table, const Row& row,
                       OpCosts& costs) const;
@@ -429,21 +442,7 @@ class Engine {
   // chunks and publish them (commit path, snapshot_reads on). Called with
   // the engine rwlock held shared.
   void publish_snapshot_chunks(std::vector<UndoEntry> undo);
-  // Shared core of the snapshot range reads: collect [lo, hi) (empty hi =
-  // unbounded) from each visible chunk's PK run (secondary < 0) or the
-  // given secondary run, merge by key order, decode. `index_name` labels
-  // the fail-closed error when a chunk predates the secondary index.
-  Result<std::vector<Row>> snapshot_collect_range(const Snapshot& snap,
-                                                  uint32_t table_id,
-                                                  int secondary,
-                                                  std::string_view index_name,
-                                                  const std::string& lo,
-                                                  const std::string& hi) const;
   storage::IoRole role_of_file(uint32_t file_id) const;
-  Result<Row> row_at(const Table& table, uint64_t row_id) const;
-  std::string encode_tuple_key(const TableDef& def,
-                               const std::vector<int>& column_indices,
-                               const Row& values) const;
 
   // Engine-wide rwlock: shared for normal operations, exclusive for the
   // DDL-like stop-the-world paths. Outermost in the lock hierarchy.

@@ -1,7 +1,9 @@
-// ReadView implementation: every read operation once, with a live branch
-// (index latch shared, synchronizes with writers) and a snapshot branch
-// (pinned chunk data, latch-free). See read_view.h for the contract and
-// engine.h for the deprecated per-mode shims that delegate here.
+// ReadView implementation: every read operation once, over two mode
+// primitives — key_range (an encoded-key range over the PK or one secondary
+// index) and scan_heap (the physical visit). Only they, row_count and
+// pk_lookup's probe branch on the mode: live reads take the engine rwlock
+// and the index latch shared (synchronizing with writers), snapshot reads
+// walk the pinned chunk chains latch-free. See read_view.h for the contract.
 #include "db/read_view.h"
 
 #include <algorithm>
@@ -18,8 +20,34 @@ namespace sky::db {
 
 namespace {
 
-Status empty_view_error() {
-  return Status(ErrorCode::kFailedPrecondition, "read on an empty ReadView");
+Status no_such_index(std::string_view index_name) {
+  return Status(ErrorCode::kNotFound,
+                "no such index: " + std::string(index_name));
+}
+
+// Slot of the named secondary index in Table::secondaries(), or -1. Index
+// definitions are immutable after construction, so no latch is needed.
+int secondary_slot(const Table& table, std::string_view index_name) {
+  for (size_t s = 0; s < table.secondaries().size(); ++s) {
+    if (table.secondaries()[s].def.name == index_name) {
+      return static_cast<int>(s);
+    }
+  }
+  return -1;
+}
+
+// Key of a value tuple over the given columns. A tuple shorter than the
+// column list encodes a prefix; an empty one, the empty key.
+std::string encode_tuple_key(const TableDef& def,
+                             const std::vector<int>& column_indices,
+                             const Row& values) {
+  index::KeyEncoder encoder;
+  for (size_t i = 0; i < values.size() && i < column_indices.size(); ++i) {
+    const int idx = column_indices[i];
+    append_value_to_key(encoder, values[i],
+                        def.columns[static_cast<size_t>(idx)].type);
+  }
+  return encoder.take();
 }
 
 // Probe key for an HTM-keyed index: the bound tuple is a single int64
@@ -33,34 +61,124 @@ std::string encode_htm_probe_key(const Row& values) {
   return encoder.take();
 }
 
+Result<Row> row_at(const Table& table, uint64_t row_id) {
+  SKY_ASSIGN_OR_RETURN(const std::string_view bytes,
+                       table.heap().read(row_id_slot(row_id)));
+  return decode_row(bytes);
+}
+
+// Snapshot mode of key_range: collect [lo, hi) (empty hi = unbounded) from
+// each visible chunk's PK run (secondary < 0) or the given secondary run,
+// merge by key order, decode. `index_name` labels the fail-closed error
+// when a chunk predates the secondary index.
+Result<std::vector<Row>> collect_chunk_range(const Snapshot& snap,
+                                             uint32_t table_id, int secondary,
+                                             std::string_view index_name,
+                                             const std::string& lo,
+                                             const std::string& hi) {
+  // (encoded key, row bytes) hits across all visible chunks. Keys are
+  // globally unique — PKs by constraint, non-unique secondary keys by their
+  // row-id suffix — so a plain sort yields live-index order.
+  std::vector<std::pair<std::string_view, std::string_view>> hits;
+  Status failure = ok_status();
+  snap.visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
+    if (!failure.is_ok()) return;
+    const std::vector<std::pair<std::string, uint32_t>>* run = &chunk.pk;
+    if (secondary >= 0) {
+      const auto s = static_cast<size_t>(secondary);
+      if (s >= chunk.secondaries.size() || !chunk.secondaries[s].has_value()) {
+        failure = index_unavailable_error(
+            index_name,
+            "snapshot chunk predates index: committed while it was disabled");
+        return;
+      }
+      run = &*chunk.secondaries[s];
+    }
+    auto it = std::lower_bound(
+        run->begin(), run->end(), lo,
+        [](const std::pair<std::string, uint32_t>& entry,
+           const std::string& k) { return entry.first < k; });
+    for (; it != run->end(); ++it) {
+      if (!hi.empty() && it->first >= hi) break;
+      hits.emplace_back(it->first, chunk.rows[it->second].bytes);
+    }
+  });
+  SKY_RETURN_IF_ERROR(failure);
+  std::sort(hits.begin(), hits.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Row> rows;
+  rows.reserve(hits.size());
+  for (const auto& [key, bytes] : hits) {
+    SKY_ASSIGN_OR_RETURN(Row row, decode_row(bytes));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 }  // namespace
 
-int64_t ReadView::row_count(uint32_t table_id) const {
-  if (engine_ == nullptr) return 0;
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) return 0;
-    return snap_->row_count(table_id);
+Result<const Table*> ReadView::table_at(uint32_t table_id) const {
+  if (engine_ == nullptr) {
+    return Status(ErrorCode::kFailedPrecondition, "read on an empty ReadView");
   }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) return 0;
+  if (table_id >= engine_->tables_.size()) {
+    return Status(ErrorCode::kNotFound, "bad table id");
+  }
+  return &engine_->tables_[table_id];
+}
+
+Result<std::vector<Row>> ReadView::key_range(uint32_t table_id, int secondary,
+                                             std::string_view index_name,
+                                             const std::string& lo,
+                                             const std::string& hi) const {
+  SKY_ASSIGN_OR_RETURN(const Table* table, table_at(table_id));
+  if (snap_ != nullptr) {
+    // `enabled` is deliberately NOT consulted: visibility is per chunk.
+    return collect_chunk_range(*snap_, table_id, secondary, index_name, lo,
+                               hi);
+  }
+  const std::shared_lock<std::shared_mutex> engine_lock(engine_->engine_mu_);
+  const index::BPlusTree* tree = &table->pk_tree();
+  if (secondary >= 0) {
+    const SecondaryIndex& index =
+        table->secondaries()[static_cast<size_t>(secondary)];
+    if (!index.enabled) {
+      return index_unavailable_error(index_name, "index is disabled");
+    }
+    tree = &index.tree;
+  }
+  // Tree reads synchronize with row publication on the index latch; each
+  // heap read inside row_at() takes its extent latch underneath.
+  const std::shared_lock<std::shared_mutex> latch(table->index_latch());
+  const std::vector<uint64_t> row_ids =
+      hi.empty() ? tree->range_lookup_unbounded(lo)
+                 : tree->range_lookup(lo, hi);
+  std::vector<Row> rows;
+  rows.reserve(row_ids.size());
+  for (const uint64_t row_id : row_ids) {
+    SKY_ASSIGN_OR_RETURN(Row row, row_at(*table, row_id));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+int64_t ReadView::row_count(uint32_t table_id) const {
+  const Result<const Table*> table = table_at(table_id);
+  if (!table.is_ok()) return 0;
+  if (snap_ != nullptr) return snap_->row_count(table_id);
+  const std::shared_lock<std::shared_mutex> engine_lock(engine_->engine_mu_);
   // Heap counters are latch-free atomics (storage/sharded_heap.h).
-  return e.tables_[table_id].heap().row_count();
+  return (*table)->heap().row_count();
 }
 
 Result<Row> ReadView::pk_lookup(uint32_t table_id, const Row& pk_values) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
+  SKY_ASSIGN_OR_RETURN(const Table* table, table_at(table_id));
+  if (pk_values.size() != table->pk_column_indices().size()) {
+    return Status(ErrorCode::kInvalidArgument, "pk tuple arity mismatch");
+  }
+  const std::string key =
+      encode_tuple_key(table->def(), table->pk_column_indices(), pk_values);
   if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    const Table& table = e.tables_[table_id];
-    if (pk_values.size() != table.pk_column_indices().size()) {
-      return Status(ErrorCode::kInvalidArgument, "pk tuple arity mismatch");
-    }
-    const std::string key =
-        e.encode_tuple_key(table.def(), table.pk_column_indices(), pk_values);
     // Newest chunk first; PKs are unique, so the first hit is the row.
     for (const SnapshotNode* node = snap_->visible_head(table_id);
          node != nullptr; node = node->prev.get()) {
@@ -73,225 +191,67 @@ Result<Row> ReadView::pk_lookup(uint32_t table_id, const Row& pk_values) const {
         return decode_row(chunk.rows[it->second].bytes);
       }
     }
-    return Status(ErrorCode::kNotFound, "no row with given primary key");
+  } else {
+    const std::shared_lock<std::shared_mutex> engine_lock(engine_->engine_mu_);
+    const std::shared_lock<std::shared_mutex> latch(table->index_latch());
+    if (const auto row_id = table->pk_tree().lookup(key); row_id.has_value()) {
+      return row_at(*table, *row_id);
+    }
   }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  if (pk_values.size() != table.pk_column_indices().size()) {
-    return Status(ErrorCode::kInvalidArgument, "pk tuple arity mismatch");
-  }
-  const std::string key =
-      e.encode_tuple_key(table.def(), table.pk_column_indices(), pk_values);
-  // Tree reads synchronize with row publication on the index latch; the
-  // heap read inside row_at() takes its extent latch underneath.
-  const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-  const auto row_id = table.pk_tree().lookup(key);
-  if (!row_id.has_value()) {
-    return Status(ErrorCode::kNotFound, "no row with given primary key");
-  }
-  return e.row_at(table, *row_id);
+  return Status(ErrorCode::kNotFound, "no row with given primary key");
 }
 
 Result<std::vector<Row>> ReadView::pk_range(uint32_t table_id, const Row& lo,
                                             const Row& hi) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    const Table& table = e.tables_[table_id];
-    return e.snapshot_collect_range(
-        *snap_, table_id, -1, {},
-        e.encode_tuple_key(table.def(), table.pk_column_indices(), lo),
-        e.encode_tuple_key(table.def(), table.pk_column_indices(), hi));
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  const std::string lo_key =
-      e.encode_tuple_key(table.def(), table.pk_column_indices(), lo);
-  const std::string hi_key =
-      e.encode_tuple_key(table.def(), table.pk_column_indices(), hi);
-  const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-  std::vector<Row> rows;
-  for (const uint64_t row_id : table.pk_tree().range_lookup(lo_key, hi_key)) {
-    SKY_ASSIGN_OR_RETURN(Row row, e.row_at(table, row_id));
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  SKY_ASSIGN_OR_RETURN(const Table* table, table_at(table_id));
+  const TableDef& def = table->def();
+  const std::vector<int>& columns = table->pk_column_indices();
+  return key_range(table_id, -1, {}, encode_tuple_key(def, columns, lo),
+                   encode_tuple_key(def, columns, hi));
 }
 
 Result<std::vector<Row>> ReadView::index_range(uint32_t table_id,
                                                std::string_view index_name,
                                                const Row& lo,
                                                const Row& hi) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    const Table& table = e.tables_[table_id];
-    // def/column_indices are immutable after construction — safe latch-free.
-    // `enabled` is deliberately NOT consulted: visibility is per chunk.
-    for (size_t s = 0; s < table.secondaries().size(); ++s) {
-      const SecondaryIndex& secondary = table.secondaries()[s];
-      if (secondary.def.name != index_name) continue;
-      const bool htm = secondary.def.htm.has_value();
-      return e.snapshot_collect_range(
-          *snap_, table_id, static_cast<int>(s), index_name,
-          htm ? encode_htm_probe_key(lo)
-              : e.encode_tuple_key(table.def(), secondary.column_indices, lo),
-          htm ? encode_htm_probe_key(hi)
-              : e.encode_tuple_key(table.def(), secondary.column_indices, hi));
-    }
-    return Status(ErrorCode::kNotFound,
-                  "no such index: " + std::string(index_name));
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  for (const SecondaryIndex& secondary : table.secondaries()) {
-    if (secondary.def.name != index_name) continue;
-    if (!secondary.enabled) {
-      return index_unavailable_error(index_name, "index is disabled");
-    }
-    const bool htm = secondary.def.htm.has_value();
-    const std::string lo_key =
-        htm ? encode_htm_probe_key(lo)
-            : e.encode_tuple_key(table.def(), secondary.column_indices, lo);
-    const std::string hi_key =
-        htm ? encode_htm_probe_key(hi)
-            : e.encode_tuple_key(table.def(), secondary.column_indices, hi);
-    const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-    std::vector<Row> rows;
-    for (const uint64_t row_id : secondary.tree.range_lookup(lo_key, hi_key)) {
-      SKY_ASSIGN_OR_RETURN(Row row, e.row_at(table, row_id));
-      rows.push_back(std::move(row));
-    }
-    return rows;
-  }
-  return Status(ErrorCode::kNotFound,
-                "no such index: " + std::string(index_name));
+  SKY_ASSIGN_OR_RETURN(const Table* table, table_at(table_id));
+  const int s = secondary_slot(*table, index_name);
+  if (s < 0) return no_such_index(index_name);
+  const SecondaryIndex& index = table->secondaries()[static_cast<size_t>(s)];
+  const auto encode = [&](const Row& values) {
+    return index.def.htm.has_value()
+               ? encode_htm_probe_key(values)
+               : encode_tuple_key(table->def(), index.column_indices, values);
+  };
+  return key_range(table_id, s, index_name, encode(lo), encode(hi));
 }
 
 Result<std::vector<Row>> ReadView::pk_encoded_range(uint32_t table_id,
                                                     const std::string& lo,
                                                     const std::string& hi)
     const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    return e.snapshot_collect_range(*snap_, table_id, -1, {}, lo, hi);
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-  const std::vector<uint64_t> row_ids =
-      hi.empty() ? table.pk_tree().range_lookup_unbounded(lo)
-                 : table.pk_tree().range_lookup(lo, hi);
-  std::vector<Row> rows;
-  rows.reserve(row_ids.size());
-  for (const uint64_t row_id : row_ids) {
-    SKY_ASSIGN_OR_RETURN(Row row, e.row_at(table, row_id));
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  return key_range(table_id, -1, {}, lo, hi);
 }
 
 Result<std::vector<Row>> ReadView::index_encoded_range(
     uint32_t table_id, std::string_view index_name, const std::string& lo,
     const std::string& hi) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    const Table& table = e.tables_[table_id];
-    for (size_t s = 0; s < table.secondaries().size(); ++s) {
-      if (table.secondaries()[s].def.name != index_name) continue;
-      return e.snapshot_collect_range(*snap_, table_id, static_cast<int>(s),
-                                      index_name, lo, hi);
-    }
-    return Status(ErrorCode::kNotFound,
-                  "no such index: " + std::string(index_name));
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  for (const SecondaryIndex& secondary : table.secondaries()) {
-    if (secondary.def.name != index_name) continue;
-    if (!secondary.enabled) {
-      return index_unavailable_error(index_name, "index is disabled");
-    }
-    const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-    const std::vector<uint64_t> row_ids =
-        hi.empty() ? secondary.tree.range_lookup_unbounded(lo)
-                   : secondary.tree.range_lookup(lo, hi);
-    std::vector<Row> rows;
-    rows.reserve(row_ids.size());
-    for (const uint64_t row_id : row_ids) {
-      SKY_ASSIGN_OR_RETURN(Row row, e.row_at(table, row_id));
-      rows.push_back(std::move(row));
-    }
-    return rows;
-  }
-  return Status(ErrorCode::kNotFound,
-                "no such index: " + std::string(index_name));
+  SKY_ASSIGN_OR_RETURN(const Table* table, table_at(table_id));
+  const int s = secondary_slot(*table, index_name);
+  if (s < 0) return no_such_index(index_name);
+  return key_range(table_id, s, index_name, lo, hi);
 }
 
 std::vector<Row> ReadView::scan_collect(
     uint32_t table_id, const std::function<bool(const Row&)>& pred,
     OpCosts* costs) const {
+  OpCosts scratch;
+  OpCosts& tally = costs != nullptr ? *costs : scratch;
   std::vector<Row> rows;
-  if (engine_ == nullptr) return rows;
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) return rows;
-    OpCosts scratch;
-    OpCosts& tally = costs != nullptr ? *costs : scratch;
-    // Gather the pinned refs, then visit in physical heap order so the
-    // result matches a live scan on a quiesced heap. lock_wait_ns stays 0
-    // by construction — the zero-latch regression test asserts it.
-    std::vector<SnapshotChunk::RowRef> refs;
-    refs.reserve(static_cast<size_t>(snap_->row_count(table_id)));
-    snap_->visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
-      refs.insert(refs.end(), chunk.rows.begin(), chunk.rows.end());
-    });
-    std::sort(
-        refs.begin(), refs.end(),
-        [](const SnapshotChunk::RowRef& a, const SnapshotChunk::RowRef& b) {
-          return std::tie(a.slot.extent, a.slot.page, a.slot.slot) <
-                 std::tie(b.slot.extent, b.slot.page, b.slot.slot);
-        });
-    for (const SnapshotChunk::RowRef& ref : refs) {
-      tally.heap_bytes += static_cast<int64_t>(ref.bytes.size());
-      auto row = decode_row(ref.bytes);
-      if (row.is_ok() && pred(*row)) rows.push_back(std::move(*row));
-    }
-    tally.rows_applied += static_cast<int64_t>(refs.size());
-    return rows;
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) return rows;
-  const Table& table = e.tables_[table_id];
-  // Heap-only read: the scan synchronizes on each extent latch inside the
-  // heap and sees published rows exactly (pending rows are hidden).
-  table.heap().scan([&](storage::SlotId, std::string_view bytes) {
+  // An empty view or a bad table id scans nothing.
+  (void)scan_heap(table_id, [&](storage::SlotId, std::string_view bytes) {
+    ++tally.rows_applied;
+    tally.heap_bytes += static_cast<int64_t>(bytes.size());
     auto row = decode_row(bytes);
     if (row.is_ok() && pred(*row)) rows.push_back(std::move(*row));
   });
@@ -301,31 +261,28 @@ std::vector<Row> ReadView::scan_collect(
 Status ReadView::scan_heap(
     uint32_t table_id,
     const std::function<void(storage::SlotId, std::string_view)>& fn) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    std::vector<SnapshotChunk::RowRef> refs;
-    refs.reserve(static_cast<size_t>(snap_->row_count(table_id)));
-    snap_->visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
-      refs.insert(refs.end(), chunk.rows.begin(), chunk.rows.end());
-    });
-    std::sort(
-        refs.begin(), refs.end(),
-        [](const SnapshotChunk::RowRef& a, const SnapshotChunk::RowRef& b) {
-          return std::tie(a.slot.extent, a.slot.page, a.slot.slot) <
-                 std::tie(b.slot.extent, b.slot.page, b.slot.slot);
-        });
-    for (const SnapshotChunk::RowRef& ref : refs) fn(ref.slot, ref.bytes);
+  SKY_ASSIGN_OR_RETURN(const Table* table, table_at(table_id));
+  if (snap_ == nullptr) {
+    // Heap-only read: the scan synchronizes on each extent latch inside the
+    // heap and sees published rows exactly (pending rows are hidden).
+    const std::shared_lock<std::shared_mutex> engine_lock(engine_->engine_mu_);
+    table->heap().scan(fn);
     return ok_status();
   }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  e.tables_[table_id].heap().scan(fn);
+  // Gather the pinned refs, then visit in physical heap order so the result
+  // matches a live scan on a quiesced heap. No latch is taken, so a scan's
+  // lock_wait_ns stays 0 by construction.
+  std::vector<SnapshotChunk::RowRef> refs;
+  refs.reserve(static_cast<size_t>(snap_->row_count(table_id)));
+  snap_->visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
+    refs.insert(refs.end(), chunk.rows.begin(), chunk.rows.end());
+  });
+  std::sort(refs.begin(), refs.end(),
+            [](const SnapshotChunk::RowRef& a, const SnapshotChunk::RowRef& b) {
+              return std::tie(a.slot.extent, a.slot.page, a.slot.slot) <
+                     std::tie(b.slot.extent, b.slot.page, b.slot.slot);
+            });
+  for (const SnapshotChunk::RowRef& ref : refs) fn(ref.slot, ref.bytes);
   return ok_status();
 }
 

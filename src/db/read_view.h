@@ -1,16 +1,20 @@
 // ReadView: the one read handle over the engine.
 //
-// The read API used to be forked into two parallel method families — the
-// live queries (Engine::pk_lookup / index_range / scan_collect / ...) that
-// synchronize with writers on the index latch, and their eight snapshot_*
-// twins that read a pinned copy-on-write prefix latch-free (db/snapshot.h).
-// Every new read operator had to be written twice. A ReadView carries each
-// operation once and is constructed in either mode:
+// Every read operation is spelled once and served in either of two modes,
+// chosen when the view is constructed:
 //
 //   db::ReadView live = engine.live_view();        // latch-shared, freshest
 //   db::Snapshot snap = engine.pin_snapshot();
 //   db::ReadView pinned = engine.view_at(snap);    // latch-free, committed
 //                                                  // prefix at pin time
+//
+// Live reads synchronize with writers on the engine rwlock and the index
+// latch (shared); snapshot reads touch only the pinned chunk data
+// (db/snapshot.h). Two primitives carry the mode: key_range (private; an
+// encoded-key range over the PK or one secondary index) and scan_heap (the
+// physical visit). The range reads and scan_collect are built on them, and
+// only row_count and pk_lookup's probe branch on the mode besides — so both
+// modes return the same rows on a quiesced engine.
 //
 // Operators written against ReadView (spatial::cone_search,
 // spatial::xmatch, the query planner) serve both modes for free, and
@@ -45,6 +49,7 @@ namespace sky::db {
 
 class Engine;
 class Snapshot;
+class Table;
 
 class ReadView {
  public:
@@ -64,7 +69,10 @@ class ReadView {
   int64_t row_count(uint32_t table_id) const;
   // Look up one row by full primary key.
   Result<Row> pk_lookup(uint32_t table_id, const Row& pk_values) const;
-  // All rows whose PK is in [lo, hi) — keys built from value tuples.
+  // All rows whose PK is in [lo, hi) — keys built from value tuples. A
+  // tuple shorter than the key is a prefix bound (`hi` = {5} on a two-column
+  // key stops before the first key starting with 5); an empty `hi` is
+  // unbounded. The same holds for index_range.
   Result<std::vector<Row>> pk_range(uint32_t table_id, const Row& lo,
                                     const Row& hi) const;
   // Range over a secondary index: [lo, hi) on the indexed columns. On an
@@ -82,9 +90,8 @@ class ReadView {
                                                std::string_view index_name,
                                                const std::string& lo,
                                                const std::string& hi) const;
-  // Full scan with predicate. `costs` (optional) tallies rows visited and
-  // heap bytes decoded on the snapshot path; the live path's costs are
-  // attributed by the engine's own instrumentation.
+  // Full scan with predicate. `costs` (optional) tallies rows visited
+  // (rows_applied) and heap bytes decoded, in both modes.
   std::vector<Row> scan_collect(uint32_t table_id,
                                 const std::function<bool(const Row&)>& pred,
                                 OpCosts* costs = nullptr) const;
@@ -97,6 +104,17 @@ class ReadView {
   friend class Engine;
   ReadView(const Engine* engine, const Snapshot* snap)
       : engine_(engine), snap_(snap) {}
+
+  // The table behind an id: kFailedPrecondition on an empty view, kNotFound
+  // for a bad id. Lock-free: the engine's tables are fixed at construction.
+  Result<const Table*> table_at(uint32_t table_id) const;
+  // The first mode primitive: rows whose encoded key is in [lo, hi) (empty
+  // `hi` = unbounded) over the PK (`secondary` < 0) or the secondary index
+  // in that slot, in key order. `index_name` labels the fail-closed error.
+  Result<std::vector<Row>> key_range(uint32_t table_id, int secondary,
+                                     std::string_view index_name,
+                                     const std::string& lo,
+                                     const std::string& hi) const;
 
   const Engine* engine_ = nullptr;
   const Snapshot* snap_ = nullptr;

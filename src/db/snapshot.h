@@ -13,20 +13,19 @@
 // storage-stability contract — row bytes never move), plus sorted key runs
 // for the PK and every enabled secondary index, built from the very keys
 // the insert path already encoded. Chunks are linked newest-first into
-// per-table chains whose heads are std::atomic<std::shared_ptr<const
-// SnapshotNode>>; publication is serialized by one mutex and stamped with a
-// monotone commit LSN, and the manager's published_lsn_ advances only after
-// every head includes the commit (release/acquire pairing) — so any reader
-// that loads published_lsn_ and then the heads sees a transactionally
-// consistent committed prefix.
+// per-table chains of shared_ptr<const SnapshotNode>. One manager mutex
+// guards the chain heads: a commit links all its chunks and advances the
+// monotone published LSN under it, and a pin copies read_lsn and every
+// head under it — so a pin holds exactly the commits up to its read_lsn, a
+// transactionally consistent committed prefix.
 //
-// A Snapshot is a pin: it captures read_lsn = published_lsn() plus every
-// chain head, and visits only chunks with commit_lsn <= read_lsn. Reads
-// against a pinned snapshot touch nothing but immutable chunk data — no
-// engine rwlock, no table latch, no extent latch, no gate — which is what
-// the zero-latch regression test asserts. Pins are registered (with their
-// pin time) so telemetry can report live-pin count and oldest-pin age, and
-// so a leaked pin is observable; dropping the Snapshot unpins.
+// A Snapshot is a pin: its copied heads keep the visible chains alive.
+// Reads against a pinned snapshot touch nothing but immutable chunk data —
+// no manager mutex, engine rwlock, table latch, extent latch or gate —
+// which is what the zero-latch regression test asserts. Pins are
+// registered (with their pin time) so telemetry can report live-pin count
+// and oldest-pin age, and so a leaked pin is observable; dropping the
+// Snapshot unpins.
 //
 // Costs and limits (see DESIGN.md "Snapshot reads and the query scheduler"):
 // chains are never compacted (depth = number of commits since startup) and
@@ -56,9 +55,6 @@ namespace sky::db {
 
 // One committed transaction's rows for one table. Immutable once published.
 struct SnapshotChunk {
-  // Monotone publication sequence (1-based; assigned under the publish
-  // mutex, analogous to the WAL's durable-LSN watermark).
-  uint64_t commit_lsn = 0;
   struct RowRef {
     storage::SlotId slot;
     std::string_view bytes;  // into the heap; stable for the heap's lifetime
@@ -112,10 +108,11 @@ class Snapshot {
   bool valid() const { return manager_ != nullptr; }
   uint64_t read_lsn() const { return read_lsn_; }
 
-  // First chain node visible at read_lsn() for a table (nullptr when the
-  // table has no committed rows in view). The captured head may lead with
-  // nodes published after the pin; they are skipped here.
-  const SnapshotNode* visible_head(uint32_t table_id) const;
+  // Newest chain node of a table in view (nullptr when the table has no
+  // committed rows in view).
+  const SnapshotNode* visible_head(uint32_t table_id) const {
+    return table_id < heads_.size() ? heads_[table_id].get() : nullptr;
+  }
 
   // Committed rows visible for one table. Latch-free.
   int64_t row_count(uint32_t table_id) const {
@@ -141,7 +138,7 @@ class Snapshot {
   SnapshotManager* manager_ = nullptr;
   uint64_t pin_id_ = 0;
   uint64_t read_lsn_ = 0;
-  // Chain head per table, captured at pin time (acquire loads).
+  // Chain head per table, copied at pin time.
   std::vector<std::shared_ptr<const SnapshotNode>> heads_;
 };
 
@@ -150,15 +147,15 @@ class SnapshotManager {
  public:
   explicit SnapshotManager(size_t table_count);
 
-  // Publish one commit's chunks atomically: assigns the commit LSN, links
-  // each chunk onto its table's chain, then advances published_lsn_.
-  // Serialized under the publish mutex; callers hold whatever lock keeps
-  // the chunks' source data (e.g. secondary enabled flags) stable.
-  // Returns the assigned commit LSN.
-  uint64_t publish(std::vector<std::pair<uint32_t, SnapshotChunk>> chunks);
+  // Publish one commit's chunks atomically: links each chunk onto its
+  // table's chain and advances published_lsn_, all under the manager mutex.
+  // Callers hold whatever lock keeps the chunks' source data (e.g.
+  // secondary enabled flags) stable.
+  void publish(std::vector<std::pair<uint32_t, SnapshotChunk>> chunks);
 
-  // Pin the newest consistent view. Lock order: only the pin-registry
-  // mutex, briefly; never blocks on publication.
+  // Pin the newest consistent view: copies the heads and registers the pin
+  // under the manager mutex (a leaf lock, held briefly — one pointer copy
+  // per table).
   Snapshot pin();
 
   uint64_t published_lsn() const {
@@ -170,17 +167,16 @@ class SnapshotManager {
   friend class Snapshot;
   void unpin(uint64_t pin_id);
 
-  // Heads are lock-free published (release) and pinned (acquire).
-  std::vector<std::atomic<std::shared_ptr<const SnapshotNode>>> heads_;
+  // Guards everything below except published_lsn_, which is written under
+  // it but stays atomic so watermark reads need no lock.
+  mutable std::mutex mu_;
+  std::vector<std::shared_ptr<const SnapshotNode>> heads_;
   std::atomic<uint64_t> published_lsn_{0};
-  std::mutex publish_mu_;
-
-  mutable std::mutex pin_mu_;  // guards pins_ / next_pin_id_
   uint64_t next_pin_id_ = 1;
   std::unordered_map<uint64_t, std::chrono::steady_clock::time_point> pins_;
-  std::atomic<int64_t> pins_taken_{0};
-  std::atomic<int64_t> chunks_published_{0};
-  std::atomic<int64_t> rows_published_{0};
+  int64_t pins_taken_ = 0;
+  int64_t chunks_published_ = 0;
+  int64_t rows_published_ = 0;
 };
 
 }  // namespace sky::db

@@ -627,8 +627,9 @@ TEST_F(EngineTest, ColumnBatchSubrangeReportsRelativeErrorIndex) {
 }
 
 TEST_F(EngineTest, ColumnBatchUnsortedKeysFallBackWithSameSemantics) {
-  // Unsorted primary keys are ineligible for the one-latch fast path; the
-  // rows must still land with identical final state via the fallback.
+  // Unsorted primary keys cut the batch into short sub-runs of the run path
+  // (a new one wherever the keys stop increasing); the rows must still land
+  // with identical final state.
   const Schema schema = frames_objects_schema();
   Engine col_engine(schema);
   const uint32_t frames = col_engine.table_id("frames").value();
@@ -673,6 +674,79 @@ TEST_F(EngineTest, ColumnBatchForeignKeyViolationReported) {
   ASSERT_TRUE(result.error.has_value());
   EXPECT_EQ(result.error->row_index, 1u);
   EXPECT_EQ(result.error->status.code(), ErrorCode::kConstraintForeignKey);
+}
+
+// One table with a unique secondary index. The run path is ineligible while
+// the index is enabled, so insert_column_batch takes insert_batch's row loop.
+Schema unique_catalog_schema() {
+  Schema schema;
+  TableDef catalog;
+  catalog.name = "catalog";
+  catalog.col("id", ColumnType::kInt64, false);
+  catalog.col("designation", ColumnType::kString, false);
+  catalog.primary_key = {"id"};
+  catalog.indexes.push_back(
+      IndexDef{"ux_designation", {"designation"}, true, std::nullopt});
+  EXPECT_TRUE(schema.add_table(catalog).is_ok());
+  return schema;
+}
+
+Row catalog_row(int64_t id, const std::string& designation) {
+  return {Value::i64(id), Value::str(designation)};
+}
+
+TEST(UniqueIndexTest, BothBatchPathsRejectTheSameDuplicate) {
+  const Schema schema = unique_catalog_schema();
+  const std::vector<Row> rows = {catalog_row(0, "a"), catalog_row(1, "b"),
+                                 catalog_row(2, "c"), catalog_row(3, "b"),
+                                 catalog_row(4, "d")};
+  ColumnBatch batch(schema.table(0));
+  for (const Row& row : rows) ASSERT_TRUE(batch.push_row(row));
+
+  Engine row_engine(schema);
+  Engine col_engine(schema);
+  const uint64_t row_txn = row_engine.begin_transaction();
+  const uint64_t col_txn = col_engine.begin_transaction();
+  const BatchResult by_row = row_engine.insert_batch(row_txn, 0, rows);
+  const BatchResult by_col = col_engine.insert_column_batch(col_txn, 0, batch);
+  for (const BatchResult* result : {&by_row, &by_col}) {
+    EXPECT_EQ(result->rows_applied, 3);
+    ASSERT_TRUE(result->error.has_value());
+    EXPECT_EQ(result->error->row_index, 3u);
+    EXPECT_EQ(result->error->status.code(), ErrorCode::kConstraintUnique);
+  }
+  EXPECT_EQ(by_col.error->status, by_row.error->status);
+  ASSERT_TRUE(row_engine.commit(row_txn).is_ok());
+  ASSERT_TRUE(col_engine.commit(col_txn).is_ok());
+
+  const auto all = [](const Row&) { return true; };
+  EXPECT_EQ(col_engine.live_view().scan_collect(0, all),
+            row_engine.live_view().scan_collect(0, all));
+  EXPECT_TRUE(row_engine.verify_integrity().is_ok());
+  EXPECT_TRUE(col_engine.verify_integrity().is_ok());
+}
+
+TEST(UniqueIndexTest, DisabledIndexIsNotEnforcedAndRebuildRejectsDuplicates) {
+  const Schema schema = unique_catalog_schema();
+  Engine engine(schema);
+  const uint64_t txn = engine.begin_transaction();
+  OpCosts costs;
+  ASSERT_TRUE(engine.insert_row(txn, 0, catalog_row(0, "a"), costs).is_ok());
+  EXPECT_EQ(engine.insert_row(txn, 0, catalog_row(1, "a"), costs).code(),
+            ErrorCode::kConstraintUnique);
+
+  ASSERT_TRUE(engine.set_index_enabled(0, "ux_designation", false).is_ok());
+  EXPECT_TRUE(engine.insert_row(txn, 0, catalog_row(1, "a"), costs).is_ok());
+  ColumnBatch batch(schema.table(0));
+  ASSERT_TRUE(batch.push_row(catalog_row(2, "a")));
+  EXPECT_EQ(engine.insert_column_batch(txn, 0, batch).rows_applied, 1);
+  ASSERT_TRUE(engine.commit(txn).is_ok());
+  EXPECT_EQ(engine.live_view().row_count(0), 3);
+
+  EXPECT_EQ(engine.rebuild_index(0, "ux_designation").code(),
+            ErrorCode::kConstraintUnique);
+  EXPECT_FALSE(engine.index_enabled(0, "ux_designation").value());
+  EXPECT_TRUE(engine.verify_integrity().is_ok());
 }
 
 // ---------------------------------------- run path vs insert_batch oracle ---

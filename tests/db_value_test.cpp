@@ -249,6 +249,13 @@ TEST(SchemaTest, FkValidation) {
   wide.col("b", ColumnType::kInt64);
   wide.foreign_keys.push_back(ForeignKey{{"a", "b"}, "parent"});
   EXPECT_FALSE(schema.add_table(wide).is_ok());
+
+  // FK to the table being declared fails: it is not declared yet. The
+  // engine relies on this (no table is its own FK parent).
+  TableDef nodes = simple_table("nodes");
+  nodes.col("parent_id", ColumnType::kInt64);
+  nodes.foreign_keys.push_back(ForeignKey{{"parent_id"}, "nodes"});
+  EXPECT_FALSE(schema.add_table(nodes).is_ok());
 }
 
 TEST(SchemaTest, IndexAndCheckValidation) {

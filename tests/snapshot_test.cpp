@@ -114,8 +114,9 @@ TEST_F(SnapshotTest, RolledBackRowsNeverPublished) {
 }
 
 TEST_F(SnapshotTest, QuiescedEquivalenceWithLiveReads) {
-  // Mixed row and columnar commits, then compare every snapshot_* read
-  // against its live twin on the quiesced engine.
+  // Mixed row and columnar commits, then compare every read through a
+  // snapshot view against the same read through the live view on the
+  // quiesced engine.
   commit_batch(0, 1, 8);
   {
     const uint64_t txn = engine_.begin_transaction();
@@ -160,6 +161,25 @@ TEST_F(SnapshotTest, QuiescedEquivalenceWithLiveReads) {
   ASSERT_TRUE(snap_ix.is_ok());
   EXPECT_EQ(live_ix->size(), 16u);
   EXPECT_EQ(*live_ix, *snap_ix);
+
+  // An empty `hi` tuple is unbounded in both modes: the whole tail.
+  const auto live_tail =
+      engine_.live_view().pk_range(table_, {Value::i64(110)}, {});
+  const auto snap_tail =
+      engine_.view_at(snap).pk_range(table_, {Value::i64(110)}, {});
+  ASSERT_TRUE(live_tail.is_ok());
+  ASSERT_TRUE(snap_tail.is_ok());
+  EXPECT_EQ(live_tail->size(), 10u);  // 110..115 and 200..203
+  EXPECT_EQ(*live_tail, *snap_tail);
+
+  const auto live_ix_tail =
+      engine_.live_view().index_range(table_, "ix_batch", {Value::i64(2)}, {});
+  const auto snap_ix_tail = engine_.view_at(snap).index_range(
+      table_, "ix_batch", {Value::i64(2)}, {});
+  ASSERT_TRUE(live_ix_tail.is_ok());
+  ASSERT_TRUE(snap_ix_tail.is_ok());
+  EXPECT_EQ(live_ix_tail->size(), 20u);  // batches 2 and 3
+  EXPECT_EQ(*live_ix_tail, *snap_ix_tail);
 
   for (const int64_t pk : {0L, 107L, 203L}) {
     const auto live = engine_.live_view().pk_lookup(table_, {Value::i64(pk)});
