@@ -13,6 +13,10 @@
 //     core::LoadCoordinator::task_runner() at 1 and 6 workers, plus a
 //     byte-identical-pairs determinism check against the serial run.
 //     Reported, not gated (CI machines share cores).
+//   * engine path — wall-clock of db::spatial::xmatch on a pinned view of
+//     a db::Engine holding the smoke-size catalogs under an HTM index, at 1
+//     and 6 workers. Unlike the array runs it includes collecting the
+//     positions from the heap. Reported, not gated.
 //
 // Emits BENCH_xmatch.json. `--smoke` runs a reduced catalog and exits
 // non-zero if the simulated 6-worker speedup falls under 3x — the CI
@@ -27,6 +31,8 @@
 
 #include "client/cost_model.h"
 #include "common/rng.h"
+#include "db/column_batch.h"
+#include "db/engine.h"
 #include "db/spatial.h"
 
 namespace {
@@ -105,6 +111,83 @@ TimedRun run_xmatch(const std::vector<double>& a_ra,
   return run;
 }
 
+// The engine-path line: both catalogs loaded into one db::Engine (tables
+// cat_a / cat_b with an HTM index), then spatial::xmatch timed on a pinned
+// view at 1 and 6 workers — median of five passes each.
+struct EngineRun {
+  size_t rows = 0;
+  int64_t pairs = 0;
+  double wall_1w_s = 0;
+  double wall_6w_s = 0;
+};
+
+EngineRun run_engine_xmatch(const std::vector<double>& a_ra,
+                            const std::vector<double>& a_dec,
+                            const std::vector<double>& b_ra,
+                            const std::vector<double>& b_dec,
+                            double radius_deg) {
+  namespace db = sky::db;
+  db::Schema schema;
+  for (const char* name : {"cat_a", "cat_b"}) {
+    db::TableDef table;
+    table.name = name;
+    table.col("pk", db::ColumnType::kInt64, false);
+    table.col("ra", db::ColumnType::kDouble, false);
+    table.col("dec", db::ColumnType::kDouble, false);
+    table.primary_key = {"pk"};
+    table.indexes.push_back(db::IndexDef{
+        "ix_htm", {}, false,
+        db::HtmIndexSpec{"ra", "dec", sky::core::SpatialPolicy{}.htm_depth}});
+    if (!schema.add_table(table).is_ok()) std::abort();
+  }
+  db::Engine engine(schema);
+  const auto load = [&](uint32_t table, const std::vector<double>& ra,
+                        const std::vector<double>& dec) {
+    db::ColumnBatch batch(schema.table(table));
+    batch.reserve(ra.size());
+    for (size_t i = 0; i < ra.size(); ++i) {
+      batch.push_i64(0, static_cast<int64_t>(i));
+      batch.push_f64(1, ra[i]);
+      batch.push_f64(2, dec[i]);
+    }
+    const uint64_t txn = engine.begin_transaction();
+    const db::BatchResult result =
+        engine.insert_column_batch(txn, table, batch);
+    if (result.error.has_value() || !engine.commit(txn).is_ok()) std::abort();
+  };
+  load(0, a_ra, a_dec);
+  load(1, b_ra, b_dec);
+
+  const db::Snapshot snap = engine.pin_snapshot();
+  const db::ReadView view = engine.view_at(snap);
+  const auto spec_a = spatial::resolve_spatial(engine, 0);
+  const auto spec_b = spatial::resolve_spatial(engine, 1);
+  if (!spec_a.is_ok() || !spec_b.is_ok()) std::abort();
+  spatial::XmatchOptions options;
+  options.radius_deg = radius_deg;
+  options.fan_out = sky::core::LoadCoordinator::task_runner();
+
+  EngineRun run;
+  run.rows = a_ra.size();
+  const auto median_seconds = [&](int workers) {
+    options.policy.xmatch_workers = workers;
+    std::vector<double> seconds;
+    for (int pass = 0; pass < 5; ++pass) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto result =
+          spatial::xmatch(view, *spec_a, view, *spec_b, options);
+      seconds.push_back(seconds_since(start));
+      if (!result.is_ok()) std::abort();
+      run.pairs = result->report.pairs;
+    }
+    std::sort(seconds.begin(), seconds.end());
+    return seconds[seconds.size() / 2];
+  };
+  run.wall_1w_s = median_seconds(1);
+  run.wall_6w_s = median_seconds(6);
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -175,6 +258,12 @@ int main(int argc, char** argv) {
   const double cpu_speedup =
       six.seconds > 0 ? one.seconds / six.seconds : 0;
 
+  // The engine line always uses the smoke-size catalogs.
+  std::vector<double> ea_ra, ea_dec, eb_ra, eb_dec;
+  make_catalogs(120'000, radius_deg, &ea_ra, &ea_dec, &eb_ra, &eb_dec);
+  const EngineRun engine =
+      run_engine_xmatch(ea_ra, ea_dec, eb_ra, eb_dec, radius_deg);
+
   std::printf("\n=== Zone cross-match (%s, %lld x %lld rows, r=%.2f\") ===\n",
               smoke ? "smoke" : "full", static_cast<long long>(rows),
               static_cast<long long>(rows), radius_deg * 3600.0);
@@ -194,10 +283,16 @@ int main(int argc, char** argv) {
               "6 workers %.3f s (%.2fx), deterministic: %s\n",
               serial.seconds, one.seconds, six.seconds, cpu_speedup,
               deterministic ? "yes" : "NO");
+  std::printf("engine xmatch (wall, %lld x %lld rows on a pinned view, "
+              "collect included): 1 worker %.4f s, 6 workers %.4f s, "
+              "pairs: %lld\n",
+              static_cast<long long>(engine.rows),
+              static_cast<long long>(engine.rows), engine.wall_1w_s,
+              engine.wall_6w_s, static_cast<long long>(engine.pairs));
 
   {
     std::ofstream json("BENCH_xmatch.json");
-    char buffer[768];
+    char buffer[1536];
     std::snprintf(buffer, sizeof(buffer),
                   "{\n  \"mode\": \"%s\",\n  \"rows\": %lld,\n"
                   "  \"radius_arcsec\": %.3f,\n"
@@ -206,7 +301,16 @@ int main(int argc, char** argv) {
                   "  \"xmatch_candidates\": %lld,\n"
                   "  \"cpu_serial_s\": %.3f,\n  \"cpu_1w_s\": %.3f,\n"
                   "  \"cpu_6w_s\": %.3f,\n  \"cpu_speedup_6w\": %.3f,\n"
-                  "  \"deterministic\": %s,\n  \"sim_speedup\": {",
+                  "  \"deterministic\": %s,\n"
+                  "  \"engine_rows\": %lld,\n  \"engine_pairs\": %lld,\n"
+                  "  \"engine_wall_1w_s\": %.4f,\n"
+                  "  \"engine_wall_6w_s\": %.4f,\n"
+                  "  \"metric_modes\": {\"sim_speedup\": \"sim\", "
+                  "\"cpu_serial_s\": \"wall\", \"cpu_1w_s\": \"wall\", "
+                  "\"cpu_6w_s\": \"wall\", \"cpu_speedup_6w\": \"wall\", "
+                  "\"engine_wall_1w_s\": \"wall\", "
+                  "\"engine_wall_6w_s\": \"wall\"},\n"
+                  "  \"sim_speedup\": {",
                   smoke ? "smoke" : "full", static_cast<long long>(rows),
                   radius_deg * 3600.0,
                   static_cast<long long>(report.zones_occupied),
@@ -214,7 +318,10 @@ int main(int argc, char** argv) {
                   static_cast<long long>(report.costs.zone_scan_rows),
                   static_cast<long long>(report.costs.xmatch_candidates),
                   serial.seconds, one.seconds, six.seconds, cpu_speedup,
-                  deterministic ? "true" : "false");
+                  deterministic ? "true" : "false",
+                  static_cast<long long>(engine.rows),
+                  static_cast<long long>(engine.pairs), engine.wall_1w_s,
+                  engine.wall_6w_s);
     json << buffer;
     for (size_t i = 0; i < worker_counts.size(); ++i) {
       std::snprintf(buffer, sizeof(buffer), "%s\n    \"%d\": %.3f",

@@ -6,16 +6,6 @@
 namespace sky::db {
 
 namespace {
-// Byte-level mirror of the row codec in row.cpp (kept in sync by the
-// encode-parity tests in db_engine_test / bulk_loader_test).
-enum class Kind : uint8_t {
-  kNull = 0,
-  kInt32 = 1,
-  kInt64 = 2,
-  kDouble = 3,
-  kString = 4,
-};
-
 // Same big-endian layout as row.cpp's helpers, but written through a stack
 // buffer in one append — encode_row_to is the single hottest function of
 // the batch publish path and byte-at-a-time push_back dominates it.
@@ -33,6 +23,19 @@ void put_u64(std::string& out, uint64_t v) {
       static_cast<char>(v >> 24), static_cast<char>(v >> 16),
       static_cast<char>(v >> 8),  static_cast<char>(v)};
   out.append(bytes, sizeof(bytes));
+}
+// Value::matches for an encoded cell: NULL fits any column, and each
+// non-null kind fits exactly the column types whose values it encodes.
+bool cell_fits(CellKind kind, ColumnType type) {
+  switch (kind) {
+    case CellKind::kNull: return true;
+    case CellKind::kInt32: return type == ColumnType::kInt32;
+    case CellKind::kInt64:
+      return type == ColumnType::kInt64 || type == ColumnType::kTimestamp;
+    case CellKind::kDouble: return type == ColumnType::kDouble;
+    case CellKind::kString: return type == ColumnType::kString;
+  }
+  return false;
 }
 }  // namespace
 
@@ -115,6 +118,30 @@ bool ColumnBatch::push_row(const Row& row) {
       push_str(c, value.as_str());
     }
   }
+  return true;
+}
+
+Result<bool> ColumnBatch::push_encoded_row(std::string_view bytes) {
+  // Walk once to check the bytes and the fit, so a misfit appends nothing;
+  // the second walk of the now-valid bytes cannot fail.
+  bool fits = true;
+  SKY_RETURN_IF_ERROR(walk_row(
+      bytes,
+      [&](uint32_t count) { fits = count == columns_.size(); },
+      [&](uint32_t col, const CellView& cell) {
+        if (fits && !cell_fits(cell.kind, columns_[col].type)) fits = false;
+      }));
+  if (!fits) return false;
+  (void)walk_row(bytes, [](uint32_t) {}, [&](uint32_t col,
+                                             const CellView& cell) {
+    switch (cell.kind) {
+      case CellKind::kNull: push_null(col); break;
+      case CellKind::kInt32: push_i64(col, cell.i32()); break;
+      case CellKind::kInt64: push_i64(col, cell.i64()); break;
+      case CellKind::kDouble: push_f64(col, cell.f64()); break;
+      case CellKind::kString: push_str(col, cell.payload); break;
+    }
+  });
   return true;
 }
 
@@ -282,22 +309,22 @@ void ColumnBatch::encode_row_to(size_t r, std::string& out) const {
   for (size_t ci = 0; ci < columns_.size(); ++ci) {
     const Column& c = columns_[ci];
     if (c.nulls[r] != 0) {
-      out.push_back(static_cast<char>(Kind::kNull));
+      out.push_back(static_cast<char>(CellKind::kNull));
       continue;
     }
     switch (c.type) {
       case ColumnType::kInt32:
-        out.push_back(static_cast<char>(Kind::kInt32));
+        out.push_back(static_cast<char>(CellKind::kInt32));
         put_u32(out, static_cast<uint32_t>(
                          static_cast<int32_t>(c.ints[r])));
         break;
       case ColumnType::kInt64:
       case ColumnType::kTimestamp:
-        out.push_back(static_cast<char>(Kind::kInt64));
+        out.push_back(static_cast<char>(CellKind::kInt64));
         put_u64(out, static_cast<uint64_t>(c.ints[r]));
         break;
       case ColumnType::kDouble: {
-        out.push_back(static_cast<char>(Kind::kDouble));
+        out.push_back(static_cast<char>(CellKind::kDouble));
         uint64_t bits;
         static_assert(sizeof(bits) == sizeof(double));
         std::memcpy(&bits, &c.doubles[r], sizeof(bits));
@@ -306,7 +333,7 @@ void ColumnBatch::encode_row_to(size_t r, std::string& out) const {
       }
       case ColumnType::kString: {
         const std::string_view s = str_at(r, ci);
-        out.push_back(static_cast<char>(Kind::kString));
+        out.push_back(static_cast<char>(CellKind::kString));
         put_u32(out, static_cast<uint32_t>(s.size()));
         out.append(s);
         break;

@@ -58,9 +58,13 @@ class ColumnBatch {
   void push_f64(size_t col, double v);
   void push_str(size_t col, std::string_view v);
   // Append a whole materialized row. Returns false, appending nothing, when
-  // the row's arity or a cell's kind does not fit the column types (WAL
-  // replay rebuilds logged runs as batches with this).
+  // the row's arity or a cell's kind does not fit the column types.
   bool push_row(const Row& row);
+  // push_row(decode_row(bytes)) without the Row: the same cells appended
+  // straight from the encoded bytes (WAL replay). Malformed bytes are
+  // decode_row's kParseError; false, appending nothing, when the row does
+  // not fit the column types exactly as push_row would reject it.
+  Result<bool> push_encoded_row(std::string_view bytes);
   // In-place update of an existing numeric cell (htmid fill-in, magnitude
   // rounding); clears the null flag.
   void set_i64(size_t col, size_t row, int64_t v);

@@ -103,9 +103,9 @@ Result<std::unique_ptr<Engine>> recover_from_wal(
         ++local.rows_discarded;
       } else {
         SKY_ASSIGN_OR_RETURN(
-            const Row row,
-            decode_row(std::string_view(payload.data() + pos, len)));
-        if (!run->push_row(row)) {
+            const bool fits,
+            run->push_encoded_row(std::string_view(payload.data() + pos, len)));
+        if (!fits) {
           return Status(ErrorCode::kInternal,
                         "WAL replay: batch record row does not fit table " +
                             schema.table(record.table_id).name);

@@ -1,18 +1,11 @@
 #include "db/row.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sky::db {
 
 namespace {
-
-enum class Kind : uint8_t {
-  kNull = 0,
-  kInt32 = 1,
-  kInt64 = 2,
-  kDouble = 3,
-  kString = 4,
-};
 
 void put_u32(std::string& out, uint32_t v) {
   for (int shift = 24; shift >= 0; shift -= 8) {
@@ -26,18 +19,11 @@ void put_u64(std::string& out, uint64_t v) {
   }
 }
 
-Result<uint64_t> get_fixed(std::string_view data, size_t& pos, int bytes) {
-  if (pos + static_cast<size_t>(bytes) > data.size()) {
-    return Status(ErrorCode::kParseError, "row decode: truncated");
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(data[pos++]);
-  }
-  return v;
-}
-
 }  // namespace
+
+Status row_codec::malformed(const char* what) {
+  return Status(ErrorCode::kParseError, what);
+}
 
 std::string encode_row(const Row& row) {
   std::string out;
@@ -45,15 +31,15 @@ std::string encode_row(const Row& row) {
   put_u32(out, static_cast<uint32_t>(row.size()));
   for (const Value& value : row) {
     if (value.is_null()) {
-      out.push_back(static_cast<char>(Kind::kNull));
+      out.push_back(static_cast<char>(CellKind::kNull));
     } else if (value.is_i32()) {
-      out.push_back(static_cast<char>(Kind::kInt32));
+      out.push_back(static_cast<char>(CellKind::kInt32));
       put_u32(out, static_cast<uint32_t>(value.as_i32()));
     } else if (value.is_i64()) {
-      out.push_back(static_cast<char>(Kind::kInt64));
+      out.push_back(static_cast<char>(CellKind::kInt64));
       put_u64(out, static_cast<uint64_t>(value.as_i64()));
     } else if (value.is_f64()) {
-      out.push_back(static_cast<char>(Kind::kDouble));
+      out.push_back(static_cast<char>(CellKind::kDouble));
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(double));
       const double d = value.as_f64();
@@ -61,7 +47,7 @@ std::string encode_row(const Row& row) {
       put_u64(out, bits);
     } else {
       const std::string& s = value.as_str();
-      out.push_back(static_cast<char>(Kind::kString));
+      out.push_back(static_cast<char>(CellKind::kString));
       put_u32(out, static_cast<uint32_t>(s.size()));
       out.append(s);
     }
@@ -70,54 +56,50 @@ std::string encode_row(const Row& row) {
 }
 
 Result<Row> decode_row(std::string_view bytes) {
-  size_t pos = 0;
-  SKY_ASSIGN_OR_RETURN(const uint64_t count, get_fixed(bytes, pos, 4));
   Row row;
-  row.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (pos >= bytes.size()) {
-      return Status(ErrorCode::kParseError, "row decode: truncated kind");
-    }
-    const auto kind = static_cast<Kind>(bytes[pos++]);
-    switch (kind) {
-      case Kind::kNull:
-        row.push_back(Value::null());
-        break;
-      case Kind::kInt32: {
-        SKY_ASSIGN_OR_RETURN(const uint64_t v, get_fixed(bytes, pos, 4));
-        row.push_back(Value::i32(static_cast<int32_t>(
-            static_cast<uint32_t>(v))));
-        break;
-      }
-      case Kind::kInt64: {
-        SKY_ASSIGN_OR_RETURN(const uint64_t v, get_fixed(bytes, pos, 8));
-        row.push_back(Value::i64(static_cast<int64_t>(v)));
-        break;
-      }
-      case Kind::kDouble: {
-        SKY_ASSIGN_OR_RETURN(const uint64_t bits, get_fixed(bytes, pos, 8));
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        row.push_back(Value::f64(d));
-        break;
-      }
-      case Kind::kString: {
-        SKY_ASSIGN_OR_RETURN(const uint64_t len, get_fixed(bytes, pos, 4));
-        if (pos + len > bytes.size()) {
-          return Status(ErrorCode::kParseError, "row decode: truncated string");
+  SKY_RETURN_IF_ERROR(walk_row(
+      bytes,
+      [&](uint32_t count) {
+        // Every cell takes at least its kind byte, so a corrupt count
+        // cannot make this reserve more than the input could hold.
+        row.reserve(std::min<size_t>(count, bytes.size()));
+      },
+      [&](uint32_t, const CellView& cell) {
+        switch (cell.kind) {
+          case CellKind::kNull: row.push_back(Value::null()); break;
+          case CellKind::kInt32: row.push_back(Value::i32(cell.i32())); break;
+          case CellKind::kInt64: row.push_back(Value::i64(cell.i64())); break;
+          case CellKind::kDouble: row.push_back(Value::f64(cell.f64())); break;
+          case CellKind::kString:
+            row.push_back(Value::str(std::string(cell.payload)));
+            break;
         }
-        row.push_back(Value::str(std::string(bytes.substr(pos, len))));
-        pos += len;
-        break;
-      }
-      default:
-        return Status(ErrorCode::kParseError, "row decode: bad kind byte");
-    }
-  }
-  if (pos != bytes.size()) {
-    return Status(ErrorCode::kParseError, "row decode: trailing bytes");
-  }
+      }));
   return row;
+}
+
+Status decode_doubles(std::string_view bytes, std::span<const int> columns,
+                      double* out) {
+  size_t found = 0;
+  bool all_doubles = true;
+  SKY_RETURN_IF_ERROR(walk_row(
+      bytes, [](uint32_t) {},
+      [&](uint32_t column, const CellView& cell) {
+        for (size_t i = 0; i < columns.size(); ++i) {
+          if (columns[i] != static_cast<int>(column)) continue;
+          ++found;
+          if (cell.kind == CellKind::kDouble) {
+            out[i] = cell.f64();
+          } else {
+            all_doubles = false;
+          }
+        }
+      }));
+  if (found != columns.size() || !all_doubles) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "row decode: projected column is missing or not a double");
+  }
+  return Status::ok();
 }
 
 size_t row_memory_bytes(const Row& row) {

@@ -156,21 +156,46 @@ XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
     return static_cast<size_t>(z);
   };
 
-  // Bucket catalog B by zone and ra-sort each bucket; precompute every B
-  // unit vector once (each may be distance-tested by many probes).
+  const auto run_tasks = [&](size_t tasks,
+                             const std::function<void(int, size_t)>& body) {
+    if (options.fan_out) {
+      options.fan_out(policy.xmatch_workers, tasks, body);
+    } else {
+      for (size_t task = 0; task < tasks; ++task) body(0, task);
+    }
+  };
+
+  // Bucket catalog B by zone (serial: one pass, no arithmetic beyond the
+  // zone index). Then one task per occupied B zone normalizes its rows' ra,
+  // computes their unit vectors (each may be distance-tested by many
+  // probes), ra-sorts the bucket and sizes the zone's ra window. A B row
+  // lives in exactly one zone, so each task writes only its own bucket,
+  // its own zone's half-width and its own rows' b_vec slots.
   std::vector<std::vector<BucketEntry>> b_zones(zones_total);
-  std::vector<htm::Vec3> b_vec(b_ra.size());
   for (uint32_t i = 0; i < b_ra.size(); ++i) {
-    const double ra = normalize_ra(b_ra[i]);
-    b_zones[zone_of(b_dec[i])].push_back(BucketEntry{ra, i});
-    b_vec[i] = htm::radec_to_vector(ra, b_dec[i]);
+    b_zones[zone_of(b_dec[i])].push_back(BucketEntry{b_ra[i], i});
   }
-  for (std::vector<BucketEntry>& bucket : b_zones) {
+  std::vector<size_t> b_occupied;
+  for (size_t z = 0; z < zones_total; ++z) {
+    if (!b_zones[z].empty()) b_occupied.push_back(z);
+  }
+  std::vector<htm::Vec3> b_vec(b_ra.size());
+  std::vector<double> b_half_width(zones_total);
+  run_tasks(b_occupied.size(), [&](int, size_t task) {
+    const size_t z = b_occupied[task];
+    const double zone_lo_deg = -90.0 + static_cast<double>(z) * height;
+    b_half_width[z] =
+        zone_ra_half_width_deg(radius, zone_lo_deg, zone_lo_deg + height);
+    std::vector<BucketEntry>& bucket = b_zones[z];
+    for (BucketEntry& entry : bucket) {
+      entry.ra = normalize_ra(entry.ra);
+      b_vec[entry.index] = htm::radec_to_vector(entry.ra, b_dec[entry.index]);
+    }
     std::sort(bucket.begin(), bucket.end(),
               [](const BucketEntry& x, const BucketEntry& y) {
                 return x.ra < y.ra || (x.ra == y.ra && x.index < y.index);
               });
-  }
+  });
 
   // Bucket catalog A by zone (input order kept within each zone). Each
   // occupied A zone is one independent task.
@@ -184,10 +209,16 @@ XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
   }
   report.zones_occupied = occupied.size();
 
+  // A self-match (both sides the same arrays) probes with the B unit
+  // vectors already computed, bit-for-bit the ones it would compute.
+  const bool self_match = a_ra.data() == b_ra.data() &&
+                          a_dec.data() == b_dec.data() &&
+                          a_ra.size() == b_ra.size();
+
   // Every task writes only its own slots; the fan-out needs no locking.
   std::vector<std::vector<MatchPair>> task_pairs(occupied.size());
   std::vector<ZoneCost> task_costs(occupied.size());
-  const std::function<void(int, size_t)> body = [&](int, size_t task) {
+  run_tasks(occupied.size(), [&](int, size_t task) {
     const size_t z = occupied[task];
     ZoneCost& cost = task_costs[task];
     cost.zone = static_cast<int>(z);
@@ -196,15 +227,14 @@ XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
     for (const uint32_t ai : a_zones[z]) {
       const double ra = normalize_ra(a_ra[ai]);
       const double dec = a_dec[ai];
-      const htm::Vec3 probe = htm::radec_to_vector(ra, dec);
+      const htm::Vec3 probe =
+          self_match ? b_vec[ai] : htm::radec_to_vector(ra, dec);
       const size_t z_lo = zone_of(dec - radius);
       const size_t z_hi = zone_of(dec + radius);
       for (size_t z2 = z_lo; z2 <= z_hi; ++z2) {
         const std::vector<BucketEntry>& bucket = b_zones[z2];
         if (bucket.empty()) continue;
-        const double zone_lo_deg = -90.0 + static_cast<double>(z2) * height;
-        const double half_width =
-            zone_ra_half_width_deg(radius, zone_lo_deg, zone_lo_deg + height);
+        const double half_width = b_half_width[z2];
         visit_ra_window(
             bucket, ra - half_width, ra + half_width,
             [&](const BucketEntry& entry) {
@@ -220,12 +250,7 @@ XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
             });
       }
     }
-  };
-  if (options.fan_out) {
-    options.fan_out(policy.xmatch_workers, occupied.size(), body);
-  } else {
-    for (size_t task = 0; task < occupied.size(); ++task) body(0, task);
-  }
+  });
 
   // Concatenate in zone order — the output is identical for any worker
   // count or schedule.
@@ -247,6 +272,36 @@ XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
   return result;
 }
 
+Status collect_positions(const ReadView& view, const SpatialTableSpec& spec,
+                         Positions& out, std::vector<Row>* rows_out) {
+  const size_t expected =
+      out.ra.size() + static_cast<size_t>(view.row_count(spec.table_id));
+  out.ra.reserve(expected);
+  out.dec.reserve(expected);
+  const int columns[2] = {spec.ra_column, spec.dec_column};
+  Status failure = Status::ok();
+  SKY_RETURN_IF_ERROR(view.scan_heap(
+      spec.table_id, [&](storage::SlotId, std::string_view bytes) {
+        if (!failure.is_ok()) return;
+        double position[2];
+        const Status status = decode_doubles(bytes, columns, position);
+        // Undecodable rows are skipped, as scan_collect skips them.
+        if (status.code() == ErrorCode::kParseError) return;
+        if (!status.is_ok()) {
+          failure = status;
+          return;
+        }
+        if (rows_out != nullptr) {
+          // decode_row accepts exactly the bytes decode_doubles parsed.
+          Result<Row> row = decode_row(bytes);
+          rows_out->push_back(std::move(*row));
+        }
+        out.ra.push_back(position[0]);
+        out.dec.push_back(position[1]);
+      }));
+  return failure;
+}
+
 Result<XmatchResult> xmatch(const ReadView& view_a,
                             const SpatialTableSpec& spec_a,
                             const ReadView& view_b,
@@ -258,26 +313,29 @@ Result<XmatchResult> xmatch(const ReadView& view_a,
     return Status(ErrorCode::kFailedPrecondition,
                   "xmatch on an empty ReadView");
   }
-  const auto collect = [](const ReadView& view, const SpatialTableSpec& spec,
-                          std::vector<double>& ra, std::vector<double>& dec,
-                          std::vector<Row>* rows_out) {
-    std::vector<Row> rows =
-        view.scan_collect(spec.table_id, [](const Row&) { return true; });
-    ra.reserve(rows.size());
-    dec.reserve(rows.size());
-    for (const Row& row : rows) {
-      ra.push_back(row[static_cast<size_t>(spec.ra_column)].as_f64());
-      dec.push_back(row[static_cast<size_t>(spec.dec_column)].as_f64());
+  if (a_rows_out != nullptr) a_rows_out->clear();
+  if (b_rows_out != nullptr) b_rows_out->clear();
+  Positions a;
+  // Only a pinned snapshot guarantees both sides see the same rows; two
+  // scans of a live view may straddle a commit.
+  const bool self_match =
+      &view_a.engine() == &view_b.engine() && view_a.is_snapshot() &&
+      view_a.snapshot() == view_b.snapshot() &&
+      spec_a.table_id == spec_b.table_id &&
+      spec_a.ra_column == spec_b.ra_column &&
+      spec_a.dec_column == spec_b.dec_column;
+  if (self_match) {
+    SKY_RETURN_IF_ERROR(collect_positions(
+        view_a, spec_a, a, a_rows_out != nullptr ? a_rows_out : b_rows_out));
+    if (a_rows_out != nullptr && b_rows_out != nullptr) {
+      *b_rows_out = *a_rows_out;
     }
-    if (rows_out != nullptr) *rows_out = std::move(rows);
-  };
-  std::vector<double> a_ra;
-  std::vector<double> a_dec;
-  std::vector<double> b_ra;
-  std::vector<double> b_dec;
-  collect(view_a, spec_a, a_ra, a_dec, a_rows_out);
-  collect(view_b, spec_b, b_ra, b_dec, b_rows_out);
-  return xmatch_arrays(a_ra, a_dec, b_ra, b_dec, options);
+    return xmatch_arrays(a.ra, a.dec, a.ra, a.dec, options);
+  }
+  Positions b;
+  SKY_RETURN_IF_ERROR(collect_positions(view_a, spec_a, a, a_rows_out));
+  SKY_RETURN_IF_ERROR(collect_positions(view_b, spec_b, b, b_rows_out));
+  return xmatch_arrays(a.ra, a.dec, b.ra, b.dec, options);
 }
 
 }  // namespace sky::db::spatial

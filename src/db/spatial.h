@@ -18,9 +18,11 @@
 // half-width r / cos(dec) (two segments when the window wraps 0/360).
 // Zones are independent, so they fan out across workers — through the
 // pluggable FanOut hook, wired to core::LoadCoordinator::task_runner() by
-// callers that link the core library (db/ itself cannot). Per-zone outputs
-// are concatenated in zone order, making the result deterministic for any
-// worker count or schedule.
+// callers that link the core library (db/ itself cannot). Two fan-outs run
+// per match: one task per occupied B zone (unit vectors and ra sort), then
+// one per occupied A zone (the probes). Per-zone outputs are concatenated
+// in zone order, making the result deterministic for any worker count or
+// schedule.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +107,7 @@ struct XmatchReport {
   double zone_height_deg = 0;
   int workers = 1;
   size_t zones_total = 0;     // ceil(180 / zone_height)
-  size_t zones_occupied = 0;  // zones with at least one A row (= tasks run)
+  size_t zones_occupied = 0;  // zones with at least one A row (= match tasks)
   int64_t pairs = 0;
   OpCosts costs;              // zone_scan_rows / xmatch_candidates / _pairs
   std::vector<ZoneCost> per_zone;  // occupied zones, ascending zone index
@@ -115,6 +117,23 @@ struct XmatchResult {
   std::vector<MatchPair> pairs;  // zone order, then A input order within zone
   XmatchReport report;
 };
+
+// Positions of one table as a view sees it, in scan_collect order.
+struct Positions {
+  std::vector<double> ra;
+  std::vector<double> dec;
+};
+
+// Append the ra/dec of every row of spec's table visible to `view` to
+// `out`, in scan_collect order, so an index into `out` names the same row
+// as an index into scan_collect's result. Without rows_out only the two
+// cells are decoded (decode_doubles, no Row built); with it the rows are
+// decoded whole and appended to *rows_out in the same order. Rows that do
+// not decode are skipped, as scan_collect skips them. kInvalidArgument
+// when a row's ra or dec cell is not a double.
+Status collect_positions(const ReadView& view, const SpatialTableSpec& spec,
+                         Positions& out,
+                         std::vector<Row>* rows_out = nullptr);
 
 // Cross-match two position arrays (degrees; a_ra/a_dec and b_ra/b_dec must
 // be pairwise equal length). This is the allocation-lean entry the bench
@@ -130,7 +149,11 @@ XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
 // same pinned snapshot, so the match is transactionally consistent while
 // loaders run). MatchPair indices refer to each table's scan_collect order;
 // pass a_rows_out / b_rows_out to receive the collected rows in exactly
-// that order for index-to-row resolution.
+// that order for index-to-row resolution. Positions are collected with
+// collect_positions, so only callers that ask for rows pay for decoding
+// them. A self-match — the same engine, the same pinned Snapshot, the same
+// table and ra/dec columns on both sides — scans the table once and uses
+// the positions as both catalogs.
 Result<XmatchResult> xmatch(const ReadView& view_a,
                             const SpatialTableSpec& spec_a,
                             const ReadView& view_b,

@@ -297,29 +297,24 @@ Result<spatial::XmatchResult> xmatch(const ShardedReadView& view_a,
                                      std::vector<Row>* a_rows_out,
                                      std::vector<Row>* b_rows_out) {
   if (!view_a.valid() || !view_b.valid()) return empty_view_error();
+  // Shard-major concatenation: deterministic for any worker count, and
+  // MatchPair indices resolve against exactly this order.
   const auto collect = [](const ShardedReadView& view,
                           const spatial::SpatialTableSpec& spec,
-                          std::vector<double>& ra, std::vector<double>& dec,
-                          std::vector<Row>* rows_out) {
-    // Shard-major concatenation: deterministic for any worker count, and
-    // MatchPair indices resolve against exactly this order.
-    std::vector<Row> rows =
-        view.scan_collect(spec.table_id, [](const Row&) { return true; });
-    ra.reserve(rows.size());
-    dec.reserve(rows.size());
-    for (const Row& row : rows) {
-      ra.push_back(row[static_cast<size_t>(spec.ra_column)].as_f64());
-      dec.push_back(row[static_cast<size_t>(spec.dec_column)].as_f64());
+                          spatial::Positions& out,
+                          std::vector<Row>* rows_out) -> Status {
+    if (rows_out != nullptr) rows_out->clear();
+    for (int s = 0; s < view.shard_count(); ++s) {
+      SKY_RETURN_IF_ERROR(spatial::collect_positions(view.shard_view(s), spec,
+                                                     out, rows_out));
     }
-    if (rows_out != nullptr) *rows_out = std::move(rows);
+    return Status::ok();
   };
-  std::vector<double> a_ra;
-  std::vector<double> a_dec;
-  std::vector<double> b_ra;
-  std::vector<double> b_dec;
-  collect(view_a, spec_a, a_ra, a_dec, a_rows_out);
-  collect(view_b, spec_b, b_ra, b_dec, b_rows_out);
-  return spatial::xmatch_arrays(a_ra, a_dec, b_ra, b_dec, options);
+  spatial::Positions a;
+  spatial::Positions b;
+  SKY_RETURN_IF_ERROR(collect(view_a, spec_a, a, a_rows_out));
+  SKY_RETURN_IF_ERROR(collect(view_b, spec_b, b, b_rows_out));
+  return spatial::xmatch_arrays(a.ra, a.dec, b.ra, b.dec, options);
 }
 
 }  // namespace shard

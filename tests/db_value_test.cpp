@@ -1,10 +1,15 @@
-// Tests for typed values, the row codec, and schema validation.
+// Tests for typed values, the row codec (decode_row, the decode_doubles
+// projection, ColumnBatch::push_encoded_row), and schema validation.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <span>
 
 #include "common/rng.h"
+#include "db/column_batch.h"
 #include "db/row.h"
 #include "db/schema.h"
 #include "db/value.h"
@@ -157,6 +162,204 @@ TEST_P(RowCodecFuzz, RandomRowsRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RowCodecFuzz, ::testing::Values(7, 8, 9));
+
+// ------------------------------------------- projection and replay push ---
+
+// A random value of the given column type, NULL one time in four when the
+// column allows it.
+Value random_cell(Rng& rng, ColumnType type) {
+  if (rng.uniform_int(0, 3) == 0) return Value::null();
+  switch (type) {
+    case ColumnType::kInt32:
+      return Value::i32(
+          static_cast<int32_t>(rng.uniform_int(INT32_MIN, INT32_MAX)));
+    case ColumnType::kInt64:
+    case ColumnType::kTimestamp:
+      return Value::i64(static_cast<int64_t>(rng.next_u64()));
+    case ColumnType::kDouble:
+      return Value::f64(rng.normal(0, 1e6));
+    case ColumnType::kString:
+      return Value::str(
+          rng.ident(static_cast<size_t>(rng.uniform_int(0, 40))));
+  }
+  return Value::null();
+}
+
+std::vector<ColumnType> random_types(Rng& rng, int64_t columns) {
+  constexpr ColumnType kTypes[] = {ColumnType::kInt32, ColumnType::kInt64,
+                                   ColumnType::kTimestamp,
+                                   ColumnType::kDouble, ColumnType::kString};
+  std::vector<ColumnType> types;
+  for (int64_t c = 0; c < columns; ++c) {
+    types.push_back(kTypes[rng.uniform_int(0, 4)]);
+  }
+  return types;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// decode_doubles returns exactly decode_row's doubles, from rows whose
+// projected columns sit anywhere among NULLs, int32s, int64s, doubles and
+// strings; a projected cell that is NULL or not a double is refused.
+TEST_P(RowCodecFuzz, ProjectionReturnsDecodeRowDoubles) {
+  Rng rng(GetParam() * 31 + 1);
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    const std::vector<ColumnType> types =
+        random_types(rng, rng.uniform_int(2, 14));
+    Row row;
+    for (const ColumnType type : types) row.push_back(random_cell(rng, type));
+    // Two projected doubles at random positions (strings land before,
+    // between and after them as the types fall).
+    std::vector<int> columns = {
+        static_cast<int>(rng.uniform_int(0, static_cast<int64_t>(row.size()) - 1)),
+        static_cast<int>(rng.uniform_int(0, static_cast<int64_t>(row.size()) - 1))};
+    const bool force_doubles = rng.uniform_int(0, 3) != 0;
+    if (force_doubles) {
+      for (const int c : columns) {
+        row[static_cast<size_t>(c)] = Value::f64(rng.normal(0, 1e3));
+      }
+    }
+    const std::string bytes = encode_row(row);
+    const auto decoded = decode_row(bytes);
+    ASSERT_TRUE(decoded.is_ok());
+    double out[2] = {0, 0};
+    const Status projected = decode_doubles(bytes, columns, out);
+    const bool all_doubles = (*decoded)[static_cast<size_t>(columns[0])].is_f64() &&
+                             (*decoded)[static_cast<size_t>(columns[1])].is_f64();
+    if (force_doubles) {
+      EXPECT_TRUE(all_doubles);
+    }
+    if (all_doubles) {
+      ASSERT_TRUE(projected.is_ok()) << projected.to_string();
+      for (size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(same_bits(
+            out[i], (*decoded)[static_cast<size_t>(columns[i])].as_f64()));
+      }
+    } else {
+      EXPECT_EQ(projected.code(), ErrorCode::kInvalidArgument);
+    }
+  }
+  // A column past the end of the row is missing, not out of bounds.
+  const std::string bytes = encode_row({Value::f64(1.0)});
+  const int past_end[] = {0, 1};
+  double out[2];
+  EXPECT_EQ(decode_doubles(bytes, past_end, out).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+// The projection and decode_row accept and reject the same bytes: every
+// truncation, a bad kind byte at every cell, trailing bytes, and random
+// byte corruptions.
+TEST_P(RowCodecFuzz, ProjectionRejectsExactlyWhatDecodeRowRejects) {
+  Rng rng(GetParam() * 17 + 5);
+  const auto agree = [](const std::string& bytes, const int* columns) {
+    const auto decoded = decode_row(bytes);
+    double out[2];
+    const Status projected =
+        decode_doubles(bytes, std::span<const int>(columns, 2), out);
+    const bool projection_parsed = projected.code() != ErrorCode::kParseError;
+    EXPECT_EQ(decoded.is_ok(), projection_parsed);
+    if (!decoded.is_ok()) {
+      EXPECT_EQ(decoded.status(), projected);  // same code, same text
+    }
+  };
+  for (int iteration = 0; iteration < 40; ++iteration) {
+    Row row = {Value::str(rng.ident(5)), Value::f64(1.5), Value::null(),
+               Value::i32(-3), Value::f64(-2.5),
+               Value::str(rng.ident(static_cast<size_t>(rng.uniform_int(0, 9)))),
+               Value::i64(7)};
+    const int columns[2] = {1, 4};
+    const std::string bytes = encode_row(row);
+    agree(bytes, columns);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      agree(bytes.substr(0, cut), columns);
+      EXPECT_FALSE(decode_row(bytes.substr(0, cut)).is_ok()) << cut;
+    }
+    agree(bytes + "x", columns);
+    EXPECT_FALSE(decode_row(bytes + "x").is_ok());
+    // Kind bytes sit at 4, then after each cell's payload.
+    size_t pos = 4;
+    for (const Value& value : row) {
+      std::string bad = bytes;
+      bad[pos] = static_cast<char>(5 + rng.uniform_int(0, 200));
+      agree(bad, columns);
+      EXPECT_FALSE(decode_row(bad).is_ok());
+      pos += 1 + (value.is_null()  ? 0
+                  : value.is_i32() ? 4
+                  : value.is_str() ? 4 + value.as_str().size()
+                                   : 8);
+    }
+    for (int flip = 0; flip < 20; ++flip) {
+      std::string mutated = bytes;
+      mutated[static_cast<size_t>(rng.uniform_int(
+          0, static_cast<int64_t>(mutated.size()) - 1))] =
+          static_cast<char>(rng.uniform_int(0, 255));
+      agree(mutated, columns);
+    }
+  }
+  // A header claiming billions of cells is rejected, not reserved.
+  agree(std::string("\xFF\xFF\xFF\xFF\x03", 5), std::array<int, 2>{0, 1}.data());
+}
+
+// push_encoded_row appends the cells decode_row + push_row would, and
+// refuses (appending nothing) exactly the rows push_row refuses.
+TEST_P(RowCodecFuzz, PushEncodedRowMatchesDecodeAndPushRow) {
+  Rng rng(GetParam() * 7 + 3);
+  for (int iteration = 0; iteration < 40; ++iteration) {
+    const std::vector<ColumnType> types =
+        random_types(rng, rng.uniform_int(1, 10));
+    ColumnBatch by_row(types);
+    ColumnBatch by_bytes(types);
+    for (int r = 0; r < 30; ++r) {
+      Row row;
+      for (const ColumnType type : types) {
+        row.push_back(random_cell(rng, type));
+      }
+      // One row in three is a misfit: wrong arity or a wrong-kind cell.
+      switch (rng.uniform_int(0, 5)) {
+        case 0: row.push_back(Value::i64(1)); break;
+        case 1: row.pop_back(); break;
+        case 2: {
+          const size_t c = static_cast<size_t>(
+              rng.uniform_int(0, static_cast<int64_t>(row.size()) - 1));
+          row[c] = types[c] == ColumnType::kString ? Value::f64(1.0)
+                   : types[c] == ColumnType::kInt32 ? Value::i64(1)
+                                                    : Value::i32(1);
+          break;
+        }
+        default: break;
+      }
+      const std::string bytes = encode_row(row);
+      const auto decoded = decode_row(bytes);
+      ASSERT_TRUE(decoded.is_ok());
+      const bool pushed = by_row.push_row(*decoded);
+      const auto pushed_bytes = by_bytes.push_encoded_row(bytes);
+      ASSERT_TRUE(pushed_bytes.is_ok());
+      EXPECT_EQ(*pushed_bytes, pushed);
+      ASSERT_EQ(by_bytes.size(), by_row.size());
+      ASSERT_TRUE(by_bytes.aligned());
+    }
+    for (size_t r = 0; r < by_row.size(); ++r) {
+      std::string want;
+      std::string got;
+      by_row.encode_row_to(r, want);
+      by_bytes.encode_row_to(r, got);
+      EXPECT_EQ(got, want) << r;
+    }
+    // Malformed bytes are decode_row's error, and append nothing.
+    const size_t before = by_bytes.size();
+    const std::string bytes = encode_row(by_row.empty() ? Row{} : by_row.row(0));
+    for (const std::string& bad : {bytes.substr(0, bytes.size() - 1),
+                                   bytes + "z", std::string("\0\0", 2)}) {
+      const auto result = by_bytes.push_encoded_row(bad);
+      ASSERT_FALSE(result.is_ok());
+      EXPECT_EQ(result.status(), decode_row(bad).status());
+    }
+    EXPECT_EQ(by_bytes.size(), before);
+  }
+}
 
 TEST(RowMemoryTest, GrowsWithStringContent) {
   const Row small = {Value::i64(1)};

@@ -73,6 +73,51 @@ TEST(RecoveryTest, CommittedWorkSurvives) {
   EXPECT_TRUE((*recovered)->verify_integrity().is_ok());
 }
 
+// A kInsertBatch record whose row does not fit the table, or does not
+// decode, fails replay with the same errors whichever way replay builds
+// its column batch.
+TEST(RecoveryTest, BatchRecordRowsThatDoNotFitAreRejected) {
+  const Schema schema = pair_schema();
+  const auto batch_record = [](const std::vector<std::string>& rows) {
+    std::string payload;
+    for (const std::string& row : rows) {
+      const auto len = static_cast<uint32_t>(row.size());
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        payload.push_back(static_cast<char>((len >> shift) & 0xFF));
+      }
+      payload += row;
+    }
+    return storage::WalRecord{storage::WalRecordType::kInsertBatch, 7, 0,
+                              payload, 0};
+  };
+  const storage::WalRecord commit{storage::WalRecordType::kCommit, 7, 0, "",
+                                  0};
+  const std::string good = encode_row({Value::i64(1), Value::str("a")});
+
+  const auto clean = recover_from_wal(schema, {batch_record({good}), commit},
+                                      EngineOptions{});
+  ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
+  EXPECT_EQ((*clean)->live_view().row_count(0), 1);
+
+  for (const Row& misfit :
+       {Row{Value::i64(2)}, Row{Value::i64(2), Value::str("b"), Value::null()},
+        Row{Value::i64(2), Value::f64(1.0)},
+        Row{Value::i32(2), Value::str("b")}}) {
+    const auto recovered = recover_from_wal(
+        schema, {batch_record({good, encode_row(misfit)}), commit},
+        EngineOptions{});
+    ASSERT_FALSE(recovered.is_ok()) << row_to_display(misfit);
+    EXPECT_EQ(recovered.status(),
+              Status(ErrorCode::kInternal,
+                     "WAL replay: batch record row does not fit table p"));
+  }
+  const std::string truncated = good.substr(0, good.size() - 1);
+  const auto malformed = recover_from_wal(
+      schema, {batch_record({good, truncated}), commit}, EngineOptions{});
+  ASSERT_FALSE(malformed.is_ok());
+  EXPECT_EQ(malformed.status(), decode_row(truncated).status());
+}
+
 TEST(RecoveryTest, UncommittedWorkIsDiscarded) {
   const Schema schema = pair_schema();
   Engine engine(schema, retain_options());

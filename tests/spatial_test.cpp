@@ -3,13 +3,18 @@
 // parallel determinism through LoadCoordinator::task_runner(), HTM cone
 // search against a full-scan oracle on both live and snapshot views, a
 // cross-match running against a pinned snapshot while a loader appends,
-// and the fail-closed cone search on a disabled index.
+// the fail-closed cone search on a disabled index, and the projected
+// position collect (including the single-scan self-match) against a
+// scan_collect oracle.
 #include "db/spatial.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -350,6 +355,273 @@ TEST_F(SpatialEngineTest, XmatchAgainstPinnedSnapshotDuringLoad) {
   // The live view, by contrast, has moved on.
   EXPECT_GT(engine_.live_view().row_count(table_a_),
             view.row_count(table_a_));
+}
+
+// ------------------------------------- projected collect vs row oracle
+
+// A wider table whose positions are not the leading columns: strings sit
+// before, between and after ra and dec, so the projected collect must
+// walk past variable-length cells to reach them.
+Schema wide_schema() {
+  Schema schema;
+  for (const char* name : {"wide_a", "wide_b"}) {
+    TableDef table;
+    table.name = name;
+    table.col("pk", ColumnType::kInt64, false);
+    table.col("label", ColumnType::kString);
+    table.col("mag", ColumnType::kDouble);
+    table.col("ra", ColumnType::kDouble, false);
+    table.col("note", ColumnType::kString);
+    table.col("dec", ColumnType::kDouble, false);
+    table.col("flags", ColumnType::kInt32);
+    table.col("tail", ColumnType::kString);
+    table.primary_key = {"pk"};
+    table.indexes.push_back(IndexDef{"ix_htm", {}, false,
+                                     HtmIndexSpec{"ra", "dec", 10}});
+    EXPECT_TRUE(schema.add_table(table).is_ok());
+  }
+  return schema;
+}
+
+Row wide_row(Rng& rng, int64_t pk, double ra, double dec) {
+  const auto text = [&] {
+    return rng.uniform_int(0, 3) == 0
+               ? Value::null()
+               : Value::str(rng.ident(
+                     static_cast<size_t>(rng.uniform_int(0, 24))));
+  };
+  return {Value::i64(pk),
+          text(),
+          rng.uniform_int(0, 2) == 0 ? Value::null()
+                                     : Value::f64(rng.uniform_range(10, 25)),
+          Value::f64(ra),
+          text(),
+          Value::f64(dec),
+          rng.uniform_int(0, 2) == 0
+              ? Value::null()
+              : Value::i32(static_cast<int32_t>(rng.uniform_int(0, 1000))),
+          text()};
+}
+
+// What xmatch returned before the projected collect: scan_collect every
+// row, read ra/dec out of the Values, match the arrays.
+XmatchResult scan_collect_oracle(const ReadView& view_a,
+                                 const SpatialTableSpec& spec_a,
+                                 const ReadView& view_b,
+                                 const SpatialTableSpec& spec_b,
+                                 const XmatchOptions& options,
+                                 std::vector<Row>* a_rows,
+                                 std::vector<Row>* b_rows) {
+  const auto collect = [](const ReadView& view, const SpatialTableSpec& spec,
+                          std::vector<double>& ra, std::vector<double>& dec,
+                          std::vector<Row>* rows_out) {
+    *rows_out = view.scan_collect(spec.table_id, [](const Row&) {
+      return true;
+    });
+    for (const Row& row : *rows_out) {
+      ra.push_back(row[static_cast<size_t>(spec.ra_column)].as_f64());
+      dec.push_back(row[static_cast<size_t>(spec.dec_column)].as_f64());
+    }
+  };
+  std::vector<double> a_ra, a_dec, b_ra, b_dec;
+  collect(view_a, spec_a, a_ra, a_dec, a_rows);
+  collect(view_b, spec_b, b_ra, b_dec, b_rows);
+  return xmatch_arrays(a_ra, a_dec, b_ra, b_dec, options);
+}
+
+void expect_same_pairs(const XmatchResult& got, const XmatchResult& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.pairs.size(), want.pairs.size()) << label;
+  for (size_t i = 0; i < want.pairs.size(); ++i) {
+    ASSERT_EQ(got.pairs[i].a, want.pairs[i].a) << label << " pair " << i;
+    ASSERT_EQ(got.pairs[i].b, want.pairs[i].b) << label << " pair " << i;
+    ASSERT_EQ(std::memcmp(&got.pairs[i].sep_deg, &want.pairs[i].sep_deg,
+                          sizeof(double)),
+              0)
+        << label << " pair " << i;
+  }
+  EXPECT_EQ(got.report.zones_occupied, want.report.zones_occupied) << label;
+  EXPECT_EQ(got.report.costs.zone_scan_rows,
+            want.report.costs.zone_scan_rows)
+      << label;
+  EXPECT_EQ(got.report.costs.xmatch_candidates,
+            want.report.costs.xmatch_candidates)
+      << label;
+}
+
+void expect_same_rows(const std::vector<Row>& got,
+                      const std::vector<Row>& want, const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(encode_row(got[i]), encode_row(want[i])) << label << " row " << i;
+  }
+}
+
+// The projected collect (and the single scan of a self-match) must give the
+// pair list of the scan_collect oracle exactly: a 3-extent table filled by
+// parallel sessions, positions behind string cells, live and snapshot
+// views, with and without rows_out, serial and fanned out.
+TEST(XmatchCollectTest, ProjectedCollectMatchesScanCollectOracle) {
+  EngineOptions engine_options;
+  engine_options.heap_extents = 3;
+  Engine engine(wide_schema(), engine_options);
+  const uint32_t table_a = engine.table_id("wide_a").value();
+  const uint32_t table_b = engine.table_id("wide_b").value();
+
+  // Three sessions per table, each its own transaction (so its own extent),
+  // committing in several rounds so the snapshot holds many chunks. B
+  // repeats A's positions with a jitter: plenty of pairs.
+  constexpr int kSessions = 3;
+  constexpr int kRounds = 4;
+  constexpr int kRowsPerRound = 60;
+  std::vector<std::thread> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.emplace_back([&, s] {
+      Rng rng(0x5E55 + static_cast<uint64_t>(s));
+      for (int round = 0; round < kRounds; ++round) {
+        const uint64_t txn = engine.begin_transaction();
+        for (int i = 0; i < kRowsPerRound; ++i) {
+          const int64_t pk = (s * kRounds + round) * kRowsPerRound + i;
+          const double ra = rng.uniform_range(0.0, 360.0);
+          const double dec =
+              std::asin(rng.uniform_range(-1.0, 1.0)) * 180.0 / kPi;
+          const double jitter_dec = std::clamp(
+              dec + rng.uniform_range(-0.3, 0.3), -89.9, 89.9);
+          OpCosts costs;
+          ASSERT_TRUE(engine
+                          .insert_row(txn, table_a,
+                                      wide_row(rng, pk, ra, dec), costs)
+                          .is_ok());
+          ASSERT_TRUE(engine
+                          .insert_row(txn, table_b,
+                                      wide_row(rng, pk, ra, jitter_dec),
+                                      costs)
+                          .is_ok());
+        }
+        ASSERT_TRUE(engine.commit(txn).is_ok());
+      }
+    });
+  }
+  for (std::thread& session : sessions) session.join();
+
+  const auto spec_a = resolve_spatial(engine, table_a);
+  const auto spec_b = resolve_spatial(engine, table_b);
+  ASSERT_TRUE(spec_a.is_ok());
+  ASSERT_TRUE(spec_b.is_ok());
+  EXPECT_EQ(spec_a->ra_column, 3);
+  EXPECT_EQ(spec_a->dec_column, 5);
+  EXPECT_EQ(engine.live_view().row_count(table_a),
+            kSessions * kRounds * kRowsPerRound);
+
+  // The snapshot scan merges the chunks of three interleaved sessions back
+  // into heap order: the same rows, in the same order, as the live scan.
+  {
+    const Snapshot pinned = engine.pin_snapshot();
+    for (const uint32_t table : {table_a, table_b}) {
+      const auto all = [](const Row&) { return true; };
+      expect_same_rows(engine.view_at(pinned).scan_collect(table, all),
+                       engine.live_view().scan_collect(table, all),
+                       "snapshot vs live scan order");
+    }
+  }
+
+  // Two pins with no commit between them: the same LSN, two Snapshot
+  // objects — the self-match shortcut applies to one, not across both.
+  const Snapshot snap = engine.pin_snapshot();
+  const Snapshot twin = engine.pin_snapshot();
+  ASSERT_EQ(snap.read_lsn(), twin.read_lsn());
+
+  for (const int workers : {0, 1, 4}) {
+    XmatchOptions options;
+    options.radius_deg = 0.3;
+    if (workers > 0) {
+      options.policy.xmatch_workers = workers;
+      options.fan_out = core::LoadCoordinator::task_runner();
+    }
+    for (const bool snapshot_view : {false, true}) {
+      const ReadView view =
+          snapshot_view ? engine.view_at(snap) : engine.live_view();
+      const std::string mode = std::string(snapshot_view ? "snapshot" : "live") +
+                               " workers=" + std::to_string(workers);
+      std::vector<Row> oracle_a, oracle_b;
+
+      // Two catalogs, with and without rows_out.
+      const XmatchResult want = scan_collect_oracle(
+          view, *spec_a, view, *spec_b, options, &oracle_a, &oracle_b);
+      EXPECT_FALSE(want.pairs.empty());
+      const auto projected = xmatch(view, *spec_a, view, *spec_b, options);
+      ASSERT_TRUE(projected.is_ok());
+      expect_same_pairs(*projected, want, "a-vs-b projected " + mode);
+      std::vector<Row> a_rows, b_rows;
+      const auto with_rows =
+          xmatch(view, *spec_a, view, *spec_b, options, &a_rows, &b_rows);
+      ASSERT_TRUE(with_rows.is_ok());
+      expect_same_pairs(*with_rows, want, "a-vs-b rows " + mode);
+      expect_same_rows(a_rows, oracle_a, "a rows " + mode);
+      expect_same_rows(b_rows, oracle_b, "b rows " + mode);
+
+      // Self-match: one view on both sides (a single scan on a snapshot
+      // view), with rows on either side, both, or neither.
+      const XmatchResult self_want = scan_collect_oracle(
+          view, *spec_a, view, *spec_a, options, &oracle_a, &oracle_b);
+      EXPECT_GE(self_want.pairs.size(), oracle_a.size());
+      const auto self = xmatch(view, *spec_a, view, *spec_a, options);
+      ASSERT_TRUE(self.is_ok());
+      expect_same_pairs(*self, self_want, "self " + mode);
+      for (const int sides : {1, 2, 3}) {
+        std::vector<Row> left, right;
+        const auto self_rows =
+            xmatch(view, *spec_a, view, *spec_a, options,
+                   (sides & 1) != 0 ? &left : nullptr,
+                   (sides & 2) != 0 ? &right : nullptr);
+        ASSERT_TRUE(self_rows.is_ok());
+        expect_same_pairs(*self_rows, self_want, "self rows " + mode);
+        if ((sides & 1) != 0) expect_same_rows(left, oracle_a, "left " + mode);
+        if ((sides & 2) != 0) {
+          expect_same_rows(right, oracle_b, "right " + mode);
+        }
+      }
+    }
+
+    // Two views pinned at the same LSN scan separately and must agree with
+    // the single-scan self-match.
+    const ReadView one = engine.view_at(snap);
+    const ReadView other = engine.view_at(twin);
+    const auto single_scan = xmatch(one, *spec_a, one, *spec_a, options);
+    const auto two_scans = xmatch(one, *spec_a, other, *spec_a, options);
+    ASSERT_TRUE(single_scan.is_ok());
+    ASSERT_TRUE(two_scans.is_ok());
+    expect_same_pairs(*two_scans, *single_scan,
+                      "twin pins workers=" + std::to_string(workers));
+  }
+}
+
+// A position column that does not hold doubles fails the match instead of
+// being read as one, on the projected and the row path alike.
+TEST(XmatchCollectTest, NonDoublePositionColumnFails) {
+  Engine engine(wide_schema());
+  const uint32_t table = engine.table_id("wide_a").value();
+  Rng rng(0xBAD);
+  const uint64_t txn = engine.begin_transaction();
+  OpCosts costs;
+  ASSERT_TRUE(
+      engine.insert_row(txn, table, wide_row(rng, 1, 10.0, 10.0), costs)
+          .is_ok());
+  ASSERT_TRUE(engine.commit(txn).is_ok());
+  auto spec = resolve_spatial(engine, table);
+  ASSERT_TRUE(spec.is_ok());
+  spec->dec_column = 0;  // the int64 primary key
+  Positions positions;
+  const Status projected =
+      collect_positions(engine.live_view(), *spec, positions);
+  EXPECT_EQ(projected.code(), ErrorCode::kInvalidArgument);
+  std::vector<Row> rows;
+  const Status row_path =
+      collect_positions(engine.live_view(), *spec, positions, &rows);
+  EXPECT_EQ(row_path.code(), ErrorCode::kInvalidArgument);
+  const auto match =
+      xmatch(engine.live_view(), *spec, engine.live_view(), *spec, {});
+  EXPECT_EQ(match.status().code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace
