@@ -27,6 +27,10 @@
 // (ServerConfig::policies.query): batch admission vs an interactive burst, with
 // yielding on and off.
 //
+// An ungated wall line prices a snapshot index_range against chain length:
+// the same rows committed as 1, 32 and 256 transactions with disjoint key
+// spans.
+//
 // Emits BENCH_query_while_loading.json. `--smoke` runs a short sweep and
 // exits non-zero unless snapshot reads improve interactive p99 by >=1.5x —
 // the CI guard. Full mode shape-checks the ISSUE targets: >=5x interactive
@@ -304,6 +308,55 @@ std::pair<double, int64_t> run_sim_lanes(bool batch_yields) {
           server.query_lane_stats().batch_yields};
 }
 
+// Snapshot index_range cost against chain length: the same rows committed
+// as `commits` transactions, each a contiguous htmid band, so no two
+// chunks' key spans overlap. A snapshot read skips every chunk whose span
+// misses its range, so the cost per range should not grow with commits.
+// Returns the median over 5 passes of wall microseconds per range; a range
+// spans kChainRangeWidth rows, so decoding them does not hide the walk.
+constexpr int64_t kChainRangeWidth = 8;
+
+double chain_index_range_us(int commits, int rows, int ranges) {
+  const sky::db::Schema schema = make_objects_schema();
+  sky::db::Engine engine(schema, sky::db::EngineOptions{});
+  const uint32_t objects = engine.table_id("objects").value();
+  const int per_commit = rows / commits;
+  for (int c = 0; c < commits; ++c) {
+    sky::db::ColumnBatch batch(schema.table(objects));
+    for (int r = c * per_commit; r < (c + 1) * per_commit; ++r) {
+      batch.push_i64(0, r);
+      batch.push_i64(1, r);  // htmid ascends with the row: disjoint bands
+      batch.push_f64(2, 0.0);
+      batch.push_f64(3, 0.0);
+      batch.push_f64(4, 20.0);
+    }
+    const uint64_t txn = engine.begin_transaction();
+    const sky::db::BatchResult result =
+        engine.insert_column_batch(txn, objects, batch);
+    if (result.error.has_value() || !engine.commit(txn).is_ok()) std::abort();
+  }
+  const sky::db::Snapshot snap = engine.pin_snapshot();
+  const sky::db::ReadView view = engine.view_at(snap);
+  std::vector<double> passes;
+  int64_t hits = 0;
+  for (int pass = 0; pass < 5; ++pass) {
+    sky::Rng rng(77);
+    const auto begin = std::chrono::steady_clock::now();
+    for (int q = 0; q < ranges; ++q) {
+      const int64_t lo = rng.uniform_int(0, rows - kChainRangeWidth);
+      const auto range =
+          view.index_range(objects, "ix_htmid", {Value::i64(lo)},
+                           {Value::i64(lo + kChainRangeWidth)});
+      if (!range.is_ok()) std::abort();
+      hits += static_cast<int64_t>(range->size());
+    }
+    passes.push_back(static_cast<double>(since(begin)) / 1e3 / ranges);
+  }
+  if (hits != 5 * ranges * kChainRangeWidth) std::abort();
+  std::sort(passes.begin(), passes.end());
+  return passes[passes.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -383,6 +436,20 @@ int main(int argc, char** argv) {
               "(%lld yields) vs %.1f ms without\n",
               sim_yield_ms, static_cast<long long>(sim_yields), sim_eager_ms);
 
+  // Ungated wall line: per-range snapshot read cost vs chain length.
+  const int chain_rows = 256 * 64;
+  const int chain_ranges = smoke ? 2000 : 10000;
+  const std::vector<int> chain_commits = {1, 32, 256};
+  std::vector<double> chain_us;
+  for (const int commits : chain_commits) {
+    chain_us.push_back(
+        chain_index_range_us(commits, chain_rows, chain_ranges));
+  }
+  std::printf("snapshot index_range (wall, %d rows, non-overlapping "
+              "spans): 1 commit %.2f us/range, 32 commits %.2f us/range, "
+              "256 commits %.2f us/range\n",
+              chain_rows, chain_us[0], chain_us[1], chain_us[2]);
+
   {
     std::ofstream json("BENCH_query_while_loading.json");
     char buffer[512];
@@ -411,8 +478,11 @@ int main(int argc, char** argv) {
                   "\n  ],\n  \"peak_p99_improvement\": %.3f,\n"
                   "  \"ingest_keep_fraction\": %.3f,\n"
                   "  \"sim_batch_admit_ms_yielding\": %.2f,\n"
-                  "  \"sim_batch_admit_ms_eager\": %.2f\n}\n",
-                  peak_improvement, ingest_keep, sim_yield_ms, sim_eager_ms);
+                  "  \"sim_batch_admit_ms_eager\": %.2f,\n"
+                  "  \"chain_index_range_us\": {\"1\": %.3f, \"32\": %.3f, "
+                  "\"256\": %.3f}\n}\n",
+                  peak_improvement, ingest_keep, sim_yield_ms, sim_eager_ms,
+                  chain_us[0], chain_us[1], chain_us[2]);
     json << buffer;
   }
   std::printf("wrote BENCH_query_while_loading.json\n");

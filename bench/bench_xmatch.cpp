@@ -10,12 +10,15 @@
 //     W-worker makespan is the loaded worker's sum; speedup(W) =
 //     makespan(1) / makespan(W). Deterministic, so CI gates on it.
 //   * cpu speedup — wall-clock of the same match fanned out through
-//     core::LoadCoordinator::task_runner() at 1 and 6 workers, plus a
-//     byte-identical-pairs determinism check against the serial run.
-//     Reported, not gated (CI machines share cores).
-//   * engine path — wall-clock of db::spatial::xmatch on a pinned view of
-//     a db::Engine holding the smoke-size catalogs under an HTM index, at 1
-//     and 6 workers. Unlike the array runs it includes collecting the
+//     core::LoadCoordinator::task_runner() at 1 and 6 workers, median of
+//     five passes each, with the summed thread CPU time beside it (a wall
+//     speedup alone swings widely on a shared host), plus a
+//     byte-identical-pairs determinism check of every pass against the
+//     serial run. Reported, not gated (CI machines share cores).
+//   * engine path — wall-clock and summed thread CPU time of
+//     db::spatial::xmatch on a pinned view of a db::Engine holding the
+//     smoke-size catalogs under an HTM index, at 1 and 6 workers, median
+//     of five passes. Unlike the array runs it includes collecting the
 //     positions from the heap. Reported, not gated.
 //
 // Emits BENCH_xmatch.json. `--smoke` runs a reduced catalog and exits
@@ -27,7 +30,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <ctime>
 #include <fstream>
+#include <vector>
 
 #include "client/cost_model.h"
 #include "common/rng.h"
@@ -46,6 +51,39 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+// CPU time of every thread of this process so far: around a fan-out run it
+// is the workers' summed CPU time (nothing else runs meanwhile).
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+constexpr int kPasses = 5;
+
+struct PassTimes {
+  double wall_s = 0;
+  double cpu_s = 0;  // summed over the pass's threads
+};
+
+// kPasses calls of `pass`: the median wall time and the median summed
+// thread CPU time.
+template <typename Fn>
+PassTimes median_of_passes(Fn&& pass) {
+  std::vector<double> wall;
+  std::vector<double> cpu;
+  for (int i = 0; i < kPasses; ++i) {
+    const double cpu_start = process_cpu_seconds();
+    const auto start = std::chrono::steady_clock::now();
+    pass();
+    wall.push_back(seconds_since(start));
+    cpu.push_back(process_cpu_seconds() - cpu_start);
+  }
+  std::sort(wall.begin(), wall.end());
+  std::sort(cpu.begin(), cpu.end());
+  return {wall[kPasses / 2], cpu[kPasses / 2]};
 }
 
 // Uniform sky plus seeded counterparts: every 8th B row sits within the
@@ -111,14 +149,26 @@ TimedRun run_xmatch(const std::vector<double>& a_ra,
   return run;
 }
 
+bool same_pairs(const spatial::XmatchResult& a,
+                const spatial::XmatchResult& b) {
+  if (a.pairs.size() != b.pairs.size()) return false;
+  for (size_t i = 0; i < a.pairs.size(); ++i) {
+    if (a.pairs[i].a != b.pairs[i].a || a.pairs[i].b != b.pairs[i].b) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // The engine-path line: both catalogs loaded into one db::Engine (tables
 // cat_a / cat_b with an HTM index), then spatial::xmatch timed on a pinned
-// view at 1 and 6 workers — median of five passes each.
+// view at 1 and 6 workers — median of five passes each, wall and summed
+// thread CPU time.
 struct EngineRun {
   size_t rows = 0;
   int64_t pairs = 0;
-  double wall_1w_s = 0;
-  double wall_6w_s = 0;
+  PassTimes one;
+  PassTimes six;
 };
 
 EngineRun run_engine_xmatch(const std::vector<double>& a_ra,
@@ -169,22 +219,17 @@ EngineRun run_engine_xmatch(const std::vector<double>& a_ra,
 
   EngineRun run;
   run.rows = a_ra.size();
-  const auto median_seconds = [&](int workers) {
+  const auto run_at = [&](int workers) {
     options.policy.xmatch_workers = workers;
-    std::vector<double> seconds;
-    for (int pass = 0; pass < 5; ++pass) {
-      const auto start = std::chrono::steady_clock::now();
+    return median_of_passes([&] {
       const auto result =
           spatial::xmatch(view, *spec_a, view, *spec_b, options);
-      seconds.push_back(seconds_since(start));
       if (!result.is_ok()) std::abort();
       run.pairs = result->report.pairs;
-    }
-    std::sort(seconds.begin(), seconds.end());
-    return seconds[seconds.size() / 2];
+    });
   };
-  run.wall_1w_s = median_seconds(1);
-  run.wall_6w_s = median_seconds(6);
+  run.one = run_at(1);
+  run.six = run_at(6);
   return run;
 }
 
@@ -236,27 +281,26 @@ int main(int argc, char** argv) {
   const double sim_speedup_6 = speedups[3];
 
   // Real threads through the coordinator's task runner: 1 and 6 workers,
-  // with the pair list checked byte-identical against the serial run.
+  // kPasses each, every pair list checked byte-identical against the
+  // serial run.
   spatial::XmatchOptions threaded = options;
   threaded.fan_out = sky::core::LoadCoordinator::task_runner();
-  threaded.policy.xmatch_workers = 1;
-  const TimedRun one = run_xmatch(a_ra, a_dec, b_ra, b_dec, threaded);
-  threaded.policy.xmatch_workers = 6;
-  const TimedRun six = run_xmatch(a_ra, a_dec, b_ra, b_dec, threaded);
-  bool deterministic = one.result.pairs.size() == serial.result.pairs.size() &&
-                       six.result.pairs.size() == serial.result.pairs.size();
-  if (deterministic) {
-    for (size_t i = 0; i < serial.result.pairs.size(); ++i) {
-      const spatial::MatchPair& s = serial.result.pairs[i];
-      if (one.result.pairs[i].a != s.a || one.result.pairs[i].b != s.b ||
-          six.result.pairs[i].a != s.a || six.result.pairs[i].b != s.b) {
-        deterministic = false;
-        break;
-      }
-    }
-  }
-  const double cpu_speedup =
-      six.seconds > 0 ? one.seconds / six.seconds : 0;
+  std::vector<spatial::XmatchResult> threaded_results;
+  const auto run_at = [&](int workers) {
+    threaded.policy.xmatch_workers = workers;
+    return median_of_passes([&] {
+      threaded_results.push_back(
+          spatial::xmatch_arrays(a_ra, a_dec, b_ra, b_dec, threaded));
+    });
+  };
+  const PassTimes one = run_at(1);
+  const PassTimes six = run_at(6);
+  const bool deterministic = std::all_of(
+      threaded_results.begin(), threaded_results.end(),
+      [&](const spatial::XmatchResult& result) {
+        return same_pairs(result, serial.result);
+      });
+  const double cpu_speedup = six.wall_s > 0 ? one.wall_s / six.wall_s : 0;
 
   // The engine line always uses the smoke-size catalogs.
   std::vector<double> ea_ra, ea_dec, eb_ra, eb_dec;
@@ -279,20 +323,24 @@ int main(int argc, char** argv) {
   std::printf("simulated zone work: %.3f s serial\n",
               static_cast<double>(total_cost) / 1e9);
   table.print();
-  std::printf("\ncpu wall-clock: serial %.3f s, 1 worker %.3f s, "
-              "6 workers %.3f s (%.2fx), deterministic: %s\n",
-              serial.seconds, one.seconds, six.seconds, cpu_speedup,
-              deterministic ? "yes" : "NO");
+  std::printf("\ncpu wall-clock (median of %d): serial %.3f s, 1 worker "
+              "%.3f s (thread cpu %.3f s), 6 workers %.3f s (thread cpu "
+              "%.3f s) (%.2fx), deterministic: %s\n",
+              kPasses, serial.seconds, one.wall_s, one.cpu_s, six.wall_s,
+              six.cpu_s, cpu_speedup, deterministic ? "yes" : "NO");
   std::printf("engine xmatch (wall, %lld x %lld rows on a pinned view, "
-              "collect included): 1 worker %.4f s, 6 workers %.4f s, "
+              "collect included, median of %d): 1 worker %.4f s (thread "
+              "cpu %.4f s), 6 workers %.4f s (thread cpu %.4f s), "
               "pairs: %lld\n",
               static_cast<long long>(engine.rows),
-              static_cast<long long>(engine.rows), engine.wall_1w_s,
-              engine.wall_6w_s, static_cast<long long>(engine.pairs));
+              static_cast<long long>(engine.rows), kPasses,
+              engine.one.wall_s, engine.one.cpu_s, engine.six.wall_s,
+              engine.six.cpu_s,
+              static_cast<long long>(engine.pairs));
 
   {
     std::ofstream json("BENCH_xmatch.json");
-    char buffer[1536];
+    char buffer[2048];
     std::snprintf(buffer, sizeof(buffer),
                   "{\n  \"mode\": \"%s\",\n  \"rows\": %lld,\n"
                   "  \"radius_arcsec\": %.3f,\n"
@@ -305,11 +353,19 @@ int main(int argc, char** argv) {
                   "  \"engine_rows\": %lld,\n  \"engine_pairs\": %lld,\n"
                   "  \"engine_wall_1w_s\": %.4f,\n"
                   "  \"engine_wall_6w_s\": %.4f,\n"
+                  "  \"thread_cpu_1w_s\": %.3f,\n"
+                  "  \"thread_cpu_6w_s\": %.3f,\n"
+                  "  \"engine_thread_cpu_1w_s\": %.4f,\n"
+                  "  \"engine_thread_cpu_6w_s\": %.4f,\n"
                   "  \"metric_modes\": {\"sim_speedup\": \"sim\", "
                   "\"cpu_serial_s\": \"wall\", \"cpu_1w_s\": \"wall\", "
                   "\"cpu_6w_s\": \"wall\", \"cpu_speedup_6w\": \"wall\", "
                   "\"engine_wall_1w_s\": \"wall\", "
-                  "\"engine_wall_6w_s\": \"wall\"},\n"
+                  "\"engine_wall_6w_s\": \"wall\", "
+                  "\"thread_cpu_1w_s\": \"cpu\", "
+                  "\"thread_cpu_6w_s\": \"cpu\", "
+                  "\"engine_thread_cpu_1w_s\": \"cpu\", "
+                  "\"engine_thread_cpu_6w_s\": \"cpu\"},\n"
                   "  \"sim_speedup\": {",
                   smoke ? "smoke" : "full", static_cast<long long>(rows),
                   radius_deg * 3600.0,
@@ -317,11 +373,12 @@ int main(int argc, char** argv) {
                   static_cast<long long>(report.pairs),
                   static_cast<long long>(report.costs.zone_scan_rows),
                   static_cast<long long>(report.costs.xmatch_candidates),
-                  serial.seconds, one.seconds, six.seconds, cpu_speedup,
+                  serial.seconds, one.wall_s, six.wall_s, cpu_speedup,
                   deterministic ? "true" : "false",
                   static_cast<long long>(engine.rows),
-                  static_cast<long long>(engine.pairs), engine.wall_1w_s,
-                  engine.wall_6w_s);
+                  static_cast<long long>(engine.pairs), engine.one.wall_s,
+                  engine.six.wall_s, one.cpu_s, six.cpu_s, engine.one.cpu_s,
+                  engine.six.cpu_s);
     json << buffer;
     for (size_t i = 0; i < worker_counts.size(); ++i) {
       std::snprintf(buffer, sizeof(buffer), "%s\n    \"%d\": %.3f",

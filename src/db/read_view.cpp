@@ -68,6 +68,27 @@ Result<Row> row_at(const Table& table, uint64_t row_id) {
   return decode_row(bytes);
 }
 
+using KeyRun = std::vector<std::pair<std::string, uint32_t>>;
+
+// Can a chunk's sorted key run hold a key in [lo, hi) (empty hi =
+// unbounded)? Its first and last keys bound its span, so a chunk whose span
+// misses the range is skipped without a binary search.
+bool span_meets(const KeyRun& run, const std::string& lo,
+                const std::string& hi) {
+  return !run.empty() && !(run.back().first < lo) &&
+         (hi.empty() || run.front().first < hi);
+}
+
+// First entry of a sorted run with key >= lo.
+KeyRun::const_iterator run_lower_bound(const KeyRun& run,
+                                       const std::string& lo) {
+  return std::lower_bound(
+      run.begin(), run.end(), lo,
+      [](const std::pair<std::string, uint32_t>& entry, const std::string& k) {
+        return entry.first < k;
+      });
+}
+
 // Snapshot mode of key_range: collect [lo, hi) (empty hi = unbounded) from
 // each visible chunk's PK run (secondary < 0) or the given secondary run,
 // merge by key order, decode. `index_name` labels the fail-closed error
@@ -77,34 +98,32 @@ Result<std::vector<Row>> collect_chunk_range(const Snapshot& snap,
                                              std::string_view index_name,
                                              const std::string& lo,
                                              const std::string& hi) {
-  // (encoded key, row bytes) hits across all visible chunks. Keys are
-  // globally unique — PKs by constraint, non-unique secondary keys by their
-  // row-id suffix — so a plain sort yields live-index order.
+  // (encoded key, row bytes) hits across all visible chunks, walked newest
+  // first. Keys are globally unique — PKs by constraint, non-unique
+  // secondary keys by their row-id suffix — so a plain sort yields
+  // live-index order whatever the walk order.
   std::vector<std::pair<std::string_view, std::string_view>> hits;
-  Status failure = ok_status();
-  snap.visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
-    if (!failure.is_ok()) return;
-    const std::vector<std::pair<std::string, uint32_t>>* run = &chunk.pk;
+  for (const SnapshotNode* node = snap.visible_head(table_id); node != nullptr;
+       node = node->prev.get()) {
+    const SnapshotChunk& chunk = node->chunk;
+    const KeyRun* run = &chunk.pk;
     if (secondary >= 0) {
       const auto s = static_cast<size_t>(secondary);
       if (s >= chunk.secondaries.size() || !chunk.secondaries[s].has_value()) {
-        failure = index_unavailable_error(
+        return index_unavailable_error(
             index_name,
             "snapshot chunk predates index: committed while it was disabled");
-        return;
       }
       run = &*chunk.secondaries[s];
     }
-    auto it = std::lower_bound(
-        run->begin(), run->end(), lo,
-        [](const std::pair<std::string, uint32_t>& entry,
-           const std::string& k) { return entry.first < k; });
-    for (; it != run->end(); ++it) {
+    // After the fail-closed check: a chunk without the run fails the read
+    // whatever its span.
+    if (!span_meets(*run, lo, hi)) continue;
+    for (auto it = run_lower_bound(*run, lo); it != run->end(); ++it) {
       if (!hi.empty() && it->first >= hi) break;
       hits.emplace_back(it->first, chunk.rows[it->second].bytes);
     }
-  });
-  SKY_RETURN_IF_ERROR(failure);
+  }
   std::sort(hits.begin(), hits.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<Row> rows;
@@ -181,13 +200,13 @@ Result<Row> ReadView::pk_lookup(uint32_t table_id, const Row& pk_values) const {
       encode_tuple_key(table->def(), table->pk_column_indices(), pk_values);
   if (snap_ != nullptr) {
     // Newest chunk first; PKs are unique, so the first hit is the row.
+    // key + '\0' is the key's immediate successor: [key, after) is the key.
+    const std::string after = key + '\0';
     for (const SnapshotNode* node = snap_->visible_head(table_id);
          node != nullptr; node = node->prev.get()) {
       const SnapshotChunk& chunk = node->chunk;
-      const auto it = std::lower_bound(
-          chunk.pk.begin(), chunk.pk.end(), key,
-          [](const std::pair<std::string, uint32_t>& entry,
-             const std::string& k) { return entry.first < k; });
+      if (!span_meets(chunk.pk, key, after)) continue;
+      const auto it = run_lower_bound(chunk.pk, key);
       if (it != chunk.pk.end() && it->first == key) {
         return decode_row(chunk.rows[it->second].bytes);
       }

@@ -30,7 +30,15 @@
 // Costs and limits (see DESIGN.md "Snapshot reads and the query scheduler"):
 // chains are never compacted (depth = number of commits since startup) and
 // chunks duplicate the index keys' bytes, roughly doubling index-key memory
-// for snapshot-visible data. A chunk whose table had a secondary index
+// for snapshot-visible data. A read still walks every node of the chain,
+// but a chunk's runs are sorted, so their first and last keys bound the
+// chunk's span: range reads and point lookups skip a chunk whose span
+// misses the key range without a binary search. Only chunks whose spans
+// overlap the range cost one each — so a workload whose commits interleave
+// keys (every transaction touching the whole key space, e.g. PKs or
+// trixels in arrival order across loaders) still pays O(chain) binary
+// searches per read, while one whose commits hold disjoint key bands pays
+// for the chunks it hits. A chunk whose table had a secondary index
 // disabled at commit carries no key run for it; snapshot index reads over a
 // chain containing such a chunk fail with kFailedPrecondition rather than
 // silently missing rows. Snapshots must not outlive their engine.

@@ -217,81 +217,120 @@ double cap_solid_angle_sr(double radius_deg) {
 
 namespace {
 
-// Minimum angular distance (radians) from point c to the geodesic segment
-// a->b, considering only the arc interior (endpoints are handled as
-// vertices by the caller).
-double arc_interior_distance_rad(const Vec3& a, const Vec3& b, const Vec3& c) {
-  const Vec3 n_raw = a.cross(b);
-  const double n_len = n_raw.norm();
-  if (n_len < 1e-15) return kPi;  // degenerate edge
-  const Vec3 n = {n_raw.x / n_len, n_raw.y / n_len, n_raw.z / n_len};
-  // Closest point on the great circle.
-  const Vec3 proj = c - n * c.dot(n);
-  if (proj.norm() < 1e-15) return kPi / 2;  // c is the circle's pole
-  const Vec3 p = proj.normalized();
-  // Is p within the arc a->b? (both "a to p" and "p to b" turn the same way)
-  if (a.cross(p).dot(n) >= 0 && p.cross(b).dot(n) >= 0) {
-    return std::asin(std::clamp(std::abs(c.dot(n)), 0.0, 1.0));
+// The cone's test, trig-free per trixel. A unit vertex v is inside a cap
+// of radius r around c iff c.v >= cos r; the same test is spelled on the
+// chord, |c - v|^2 <= (2 sin(r/2))^2, which keeps full precision for the
+// smallest radii (c.v rounds to 1 there). An edge a->b with plane normal
+// n = a x b is within r of c iff |c.n| <= sin r * |n| and c projects into
+// the arc, i.e. (a x c).n >= 0 and (c x b).n >= 0 — no normalisation. The
+// thresholds carry a slack of a few ulps so each test accepts at least what
+// the exact angle comparison does: the cover stays conservative.
+//
+// A cone wider than 90 degrees is not convex, but its complement is: a cap
+// of radius 180 - r around the antipode. Such a cone is tested against the
+// complement (center and limits below describe it) and the answer
+// inverted.
+struct CapTest {
+  Vec3 center;
+  double vertex_chord2 = 0;  // vertex inside iff |center - v|^2 <= this
+  double edge_sin2 = 0;      // edge near iff (center.n)^2 <= this * |n|^2
+  bool wide = false;         // the cone is the complement of this cap
+  // Wide only: a vertex strictly inside the complement, |center - v|^2 <
+  // this. Tighter than the exact angle test, so a trixel is dropped only
+  // when every vertex is surely off the cone's rim.
+  double strict_chord2 = -1;
+};
+
+// Absolute slack in chord / sine units, and relative slack on the radius.
+constexpr double kCapSlack = 4e-15;
+constexpr double kCapRelSlack = 1e-12;
+
+double chord_of(double angle_rad) { return 2.0 * std::sin(angle_rad / 2); }
+
+double chord2(const Vec3& a, const Vec3& b) {
+  const Vec3 d = a - b;
+  return d.dot(d);
+}
+
+CapTest make_cap_test(const Vec3& center, double radius_deg) {
+  CapTest cap;
+  cap.wide = radius_deg > 90.0;
+  cap.center = cap.wide ? center * -1.0 : center;
+  const double radius = cap.wide ? 180.0 - radius_deg : radius_deg;
+  const double generous =
+      std::min(kPi, radius * kDegToRad * (1 + kCapRelSlack));
+  const double vertex_chord = chord_of(generous) + kCapSlack;
+  cap.vertex_chord2 = vertex_chord * vertex_chord;
+  const double edge_sin =
+      generous >= kPi / 2 ? 1.0 + kCapSlack : std::sin(generous) + kCapSlack;
+  cap.edge_sin2 = edge_sin * edge_sin;
+  if (cap.wide) {
+    const double tight =
+        (radius - 1e-12) * kDegToRad * (1 - kCapRelSlack);
+    const double strict_chord = tight > 0 ? chord_of(tight) - kCapSlack : 0;
+    cap.strict_chord2 = strict_chord > 0 ? strict_chord * strict_chord : -1;
   }
-  return kPi;  // interior not closest; endpoints checked elsewhere
+  return cap;
+}
+
+bool edge_near(const Vec3& a, const Vec3& b, const Vec3& c, double sin2) {
+  const Vec3 n = a.cross(b);
+  const double n2 = n.dot(n);
+  if (n2 < 1e-30) return false;  // degenerate edge
+  const double cn = c.dot(n);
+  if (cn * cn > sin2 * n2) return false;
+  return a.cross(c).dot(n) >= 0 && c.cross(b).dot(n) >= 0;
 }
 
 enum class CapRelation { kDisjoint, kPartial, kFull };
 
-CapRelation classify(const Trixel& t, const Vec3& center, double radius_deg) {
+// The trixel against the convex cap (center, limits) of `cap`.
+CapRelation classify_convex(const Trixel& t, const CapTest& cap) {
   int inside = 0;
   for (const Vec3& v : t.v) {
-    if (angular_distance_deg(center, v) <= radius_deg) ++inside;
+    if (chord2(cap.center, v) <= cap.vertex_chord2) ++inside;
   }
-  if (inside == 3) return CapRelation::kFull;  // cap is convex (r <= 90)
+  if (inside == 3) return CapRelation::kFull;  // the cap is convex
   if (inside > 0) return CapRelation::kPartial;
   // No vertex inside. Cap center inside the trixel?
-  if (insideness(t.v, center) >= -kEpsilon) return CapRelation::kPartial;
+  if (insideness(t.v, cap.center) >= -kEpsilon) return CapRelation::kPartial;
   // Cap boundary crossing an edge interior?
-  const double radius_rad = radius_deg * kDegToRad;
   for (int e = 0; e < 3; ++e) {
-    const Vec3& a = t.v[static_cast<size_t>(e)];
-    const Vec3& b = t.v[static_cast<size_t>((e + 1) % 3)];
-    if (arc_interior_distance_rad(a, b, center) <= radius_rad) {
+    if (edge_near(t.v[static_cast<size_t>(e)],
+                  t.v[static_cast<size_t>((e + 1) % 3)], cap.center,
+                  cap.edge_sin2)) {
       return CapRelation::kPartial;
     }
   }
   return CapRelation::kDisjoint;
 }
 
-// Wide caps (radius > 90) are not convex, but their complement is: a cap of
-// radius 180 - r around the antipode. Classify against the complement and
-// invert. A trixel fully inside the closed complement touches the original
-// cap at most on the shared rim circle — kept as partial unless every
-// vertex is strictly interior, so exact-rim points are never dropped.
-CapRelation classify_wide(const Trixel& t, const Vec3& center,
-                          double radius_deg) {
-  const Vec3 anti = center * -1.0;
-  const double complement = 180.0 - radius_deg;
-  switch (classify(t, anti, complement)) {
+// The trixel against the cone. For a wide cone, a trixel fully inside the
+// closed complement touches the cone at most on the shared rim circle —
+// kept as partial unless every vertex is strictly interior, so exact-rim
+// points are never dropped.
+CapRelation classify(const Trixel& t, const CapTest& cap) {
+  const CapRelation relation = classify_convex(t, cap);
+  if (!cap.wide) return relation;
+  switch (relation) {
     case CapRelation::kDisjoint:
       return CapRelation::kFull;
-    case CapRelation::kFull: {
-      int strictly_inside = 0;
+    case CapRelation::kFull:
       for (const Vec3& v : t.v) {
-        if (angular_distance_deg(anti, v) < complement - 1e-12) {
-          ++strictly_inside;
+        if (!(chord2(cap.center, v) < cap.strict_chord2)) {
+          return CapRelation::kPartial;
         }
       }
-      return strictly_inside == 3 ? CapRelation::kDisjoint
-                                  : CapRelation::kPartial;
-    }
+      return CapRelation::kDisjoint;
     case CapRelation::kPartial:
       break;
   }
   return CapRelation::kPartial;
 }
 
-void cover_recursive(const Trixel& t, int level, int depth, const Vec3& center,
-                     double radius_deg, std::vector<IdRange>& out) {
-  const CapRelation relation = radius_deg > 90.0
-                                   ? classify_wide(t, center, radius_deg)
-                                   : classify(t, center, radius_deg);
+void cover_recursive(const Trixel& t, int level, int depth, const CapTest& cap,
+                     std::vector<IdRange>& out) {
+  const CapRelation relation = classify(t, cap);
   if (relation == CapRelation::kDisjoint) return;
   const int remaining = depth - level;
   if (relation == CapRelation::kFull || remaining == 0) {
@@ -300,7 +339,7 @@ void cover_recursive(const Trixel& t, int level, int depth, const Vec3& center,
     return;
   }
   for (const Trixel& child : children_of(t)) {
-    cover_recursive(child, level + 1, depth, center, radius_deg, out);
+    cover_recursive(child, level + 1, depth, cap, out);
   }
 }
 
@@ -309,11 +348,11 @@ void cover_recursive(const Trixel& t, int level, int depth, const Vec3& center,
 std::vector<IdRange> cone_cover(const Vec3& center, double radius_deg,
                                 int depth) {
   assert(depth >= 0 && depth <= kMaxDepth);
-  const double clamped_radius = std::clamp(radius_deg, 0.0, 180.0);
-  const Vec3 c = center.normalized();
+  const CapTest cap = make_cap_test(center.normalized(),
+                                    std::clamp(radius_deg, 0.0, 180.0));
   std::vector<IdRange> ranges;
   for (const Trixel& root : root_trixels()) {
-    cover_recursive(root, 0, depth, c, clamped_radius, ranges);
+    cover_recursive(root, 0, depth, cap, ranges);
   }
   std::sort(ranges.begin(), ranges.end(),
             [](const IdRange& a, const IdRange& b) { return a.first < b.first; });

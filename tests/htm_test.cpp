@@ -2,8 +2,11 @@
 // ranges, round trips), containment, and cone-cover correctness properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "htm/htm.h"
@@ -431,6 +434,248 @@ TEST(ConeCoverTest, MatchesBruteForceTrixelOracle) {
       } else if (angular_distance_deg(center, c) >
                  radius + circumradius + 1e-9) {
         EXPECT_FALSE(covered) << "id=" << id << " radius=" << radius;
+      }
+    }
+  }
+}
+
+
+// ----------------------------------------------------- frozen cover oracle ---
+//
+// The cover as it was classified before the trig-free cap test: atan2
+// vertex distances and asin edge distances compared in angle units, the
+// wide-cone case through the complement. Frozen here as the reference the
+// production classifier must reproduce range for range.
+namespace angle_oracle {
+
+constexpr double kPi = 3.14159265358979323846;
+constexpr double kDegToRad = kPi / 180.0;
+constexpr double kEpsilon = 1e-12;
+
+double insideness(const std::array<Vec3, 3>& v, const Vec3& p) {
+  const double d0 = v[0].cross(v[1]).dot(p);
+  const double d1 = v[1].cross(v[2]).dot(p);
+  const double d2 = v[2].cross(v[0]).dot(p);
+  return std::min({d0, d1, d2});
+}
+
+std::array<Trixel, 4> children_of(const Trixel& t) {
+  const Vec3 w0 = (t.v[1] + t.v[2]).normalized();
+  const Vec3 w1 = (t.v[0] + t.v[2]).normalized();
+  const Vec3 w2 = (t.v[0] + t.v[1]).normalized();
+  return {
+      Trixel{t.id * 4 + 0, {t.v[0], w2, w1}},
+      Trixel{t.id * 4 + 1, {t.v[1], w0, w2}},
+      Trixel{t.id * 4 + 2, {t.v[2], w1, w0}},
+      Trixel{t.id * 4 + 3, {w0, w1, w2}},
+  };
+}
+
+double arc_interior_distance_rad(const Vec3& a, const Vec3& b, const Vec3& c) {
+  const Vec3 n_raw = a.cross(b);
+  const double n_len = n_raw.norm();
+  if (n_len < 1e-15) return kPi;
+  const Vec3 n = {n_raw.x / n_len, n_raw.y / n_len, n_raw.z / n_len};
+  const Vec3 proj = c - n * c.dot(n);
+  if (proj.norm() < 1e-15) return kPi / 2;
+  const Vec3 p = proj.normalized();
+  if (a.cross(p).dot(n) >= 0 && p.cross(b).dot(n) >= 0) {
+    return std::asin(std::clamp(std::abs(c.dot(n)), 0.0, 1.0));
+  }
+  return kPi;
+}
+
+enum class CapRelation { kDisjoint, kPartial, kFull };
+
+CapRelation classify(const Trixel& t, const Vec3& center, double radius_deg) {
+  int inside = 0;
+  for (const Vec3& v : t.v) {
+    if (angular_distance_deg(center, v) <= radius_deg) ++inside;
+  }
+  if (inside == 3) return CapRelation::kFull;
+  if (inside > 0) return CapRelation::kPartial;
+  if (insideness(t.v, center) >= -kEpsilon) return CapRelation::kPartial;
+  const double radius_rad = radius_deg * kDegToRad;
+  for (size_t e = 0; e < 3; ++e) {
+    if (arc_interior_distance_rad(t.v[e], t.v[(e + 1) % 3], center) <=
+        radius_rad) {
+      return CapRelation::kPartial;
+    }
+  }
+  return CapRelation::kDisjoint;
+}
+
+CapRelation classify_wide(const Trixel& t, const Vec3& center,
+                          double radius_deg) {
+  const Vec3 anti = center * -1.0;
+  const double complement = 180.0 - radius_deg;
+  switch (classify(t, anti, complement)) {
+    case CapRelation::kDisjoint:
+      return CapRelation::kFull;
+    case CapRelation::kFull: {
+      int strictly_inside = 0;
+      for (const Vec3& v : t.v) {
+        if (angular_distance_deg(anti, v) < complement - 1e-12) {
+          ++strictly_inside;
+        }
+      }
+      return strictly_inside == 3 ? CapRelation::kDisjoint
+                                  : CapRelation::kPartial;
+    }
+    case CapRelation::kPartial:
+      break;
+  }
+  return CapRelation::kPartial;
+}
+
+void cover_recursive(const Trixel& t, int level, int depth, const Vec3& center,
+                     double radius_deg, std::vector<IdRange>& out) {
+  const CapRelation relation = radius_deg > 90.0
+                                   ? classify_wide(t, center, radius_deg)
+                                   : classify(t, center, radius_deg);
+  if (relation == CapRelation::kDisjoint) return;
+  const int remaining = depth - level;
+  if (relation == CapRelation::kFull || remaining == 0) {
+    const uint64_t width = 1ULL << (2 * remaining);
+    out.push_back(IdRange{t.id * width, (t.id + 1) * width});
+    return;
+  }
+  for (const Trixel& child : children_of(t)) {
+    cover_recursive(child, level + 1, depth, center, radius_deg, out);
+  }
+}
+
+std::vector<IdRange> cone_cover(const Vec3& center, double radius_deg,
+                                int depth) {
+  const double clamped_radius = std::clamp(radius_deg, 0.0, 180.0);
+  const Vec3 c = center.normalized();
+  std::vector<IdRange> ranges;
+  for (const Trixel& root : root_trixels()) {
+    cover_recursive(root, 0, depth, c, clamped_radius, ranges);
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const IdRange& a, const IdRange& b) { return a.first < b.first; });
+  std::vector<IdRange> merged;
+  for (const IdRange& range : ranges) {
+    if (!merged.empty() && range.first <= merged.back().last) {
+      merged.back().last = std::max(merged.back().last, range.last);
+    } else {
+      merged.push_back(range);
+    }
+  }
+  return merged;
+}
+
+}  // namespace angle_oracle
+
+// A point `angle_deg` from `center` along the given bearing.
+Vec3 offset_point(const Vec3& center, double angle_deg, double bearing_deg) {
+  constexpr double kPi = 3.14159265358979323846;
+  Vec3 east = Vec3{0, 0, 1}.cross(center);
+  if (east.norm() < 1e-9) east = Vec3{0, 1, 0};
+  east = east.normalized();
+  const Vec3 up = center.cross(east).normalized();
+  const double t = angle_deg * kPi / 180.0;
+  const double b = bearing_deg * kPi / 180.0;
+  return (center * std::cos(t) +
+          (east * std::cos(b) + up * std::sin(b)) * std::sin(t))
+      .normalized();
+}
+
+// Seeded cones over depths 4-20 and radii 1e-5..180 degrees, centers drawn
+// from the places where a cap test goes wrong first: the poles, the ra
+// 0/360 seam, root-trixel vertices and edges, mesh vertices at the cone's
+// depth, and wide (> 90 degree) caps. Every cover must equal the frozen
+// angle oracle's, and sampled points inside each cap must be covered.
+TEST(ConeCoverTest, MatchesFrozenAngleOracle) {
+  Rng rng(20261020);
+  const auto pick_center = [&](int kind, int depth) -> Vec3 {
+    switch (kind) {
+      case 0:  // a pole
+        return Vec3{0, 0, rng.uniform_int(0, 1) == 0 ? 1.0 : -1.0};
+      case 1: {  // the ra 0/360 seam, from either side
+        const double dec = std::asin(rng.uniform_range(-1.0, 1.0)) * 180.0 /
+                           3.14159265358979323846;
+        const double ra[] = {0.0, 360.0, 1e-9, 360.0 - 1e-9};
+        return radec_to_vector(ra[rng.uniform_int(0, 3)], dec);
+      }
+      case 2: {  // a root-trixel vertex
+        const Vec3 vertices[] = {{1, 0, 0},  {-1, 0, 0}, {0, 1, 0},
+                                 {0, -1, 0}, {0, 0, 1},  {0, 0, -1}};
+        return vertices[rng.uniform_int(0, 5)];
+      }
+      case 3: {  // on a root-trixel edge: one coordinate exactly zero
+        const double a = rng.uniform_range(-1.0, 1.0);
+        const double b = rng.uniform_range(-1.0, 1.0);
+        const int zero = static_cast<int>(rng.uniform_int(0, 2));
+        const Vec3 v = zero == 0   ? Vec3{0, a, b}
+                       : zero == 1 ? Vec3{a, 0, b}
+                                   : Vec3{a, b, 0};
+        return v.norm() > 1e-6 ? v.normalized() : Vec3{1, 0, 0};
+      }
+      case 4: {  // a mesh vertex at the cone's depth
+        const uint64_t lo = 8ULL << (2 * depth);
+        const auto id = static_cast<uint64_t>(rng.uniform_int(
+            static_cast<int64_t>(lo), static_cast<int64_t>(2 * lo - 1)));
+        const auto trixel = trixel_from_id(id);
+        return trixel.is_ok() ? trixel->v[static_cast<size_t>(
+                                    rng.uniform_int(0, 2))]
+                              : Vec3{1, 0, 0};
+      }
+      default:
+        return random_direction(rng);
+    }
+  };
+
+  int cones = 0;
+  int wide = 0;
+  for (int trial = 0; trial < 10'500; ++trial) {
+    const int kind = static_cast<int>(rng.uniform_int(0, 7));
+    // Log-uniform radius, every 10th cone wider than 90 degrees.
+    const double radius =
+        trial % 10 == 9
+            ? rng.uniform_range(90.0, 180.0)
+            : std::pow(10.0, rng.uniform_range(-5.0, std::log10(180.0)));
+    // Deepest depth whose cover stays ~100 boundary trixels wide.
+    const int max_depth = std::clamp(
+        static_cast<int>(std::floor(std::log2(1440.0 / radius))), 4, 20);
+    const int depth = static_cast<int>(rng.uniform_int(4, max_depth));
+    const Vec3 center = pick_center(kind, depth);
+    const auto ranges = cone_cover(center, radius, depth);
+    const auto expected = angle_oracle::cone_cover(center, radius, depth);
+    ASSERT_EQ(ranges.size(), expected.size())
+        << "trial=" << trial << " radius=" << radius << " depth=" << depth;
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      ASSERT_EQ(ranges[i].first, expected[i].first) << "trial=" << trial;
+      ASSERT_EQ(ranges[i].last, expected[i].last) << "trial=" << trial;
+    }
+    ASSERT_TRUE(ranges_cover(ranges, htm_id(center, depth)))
+        << "trial=" << trial;
+    for (int i = 0; i < 4; ++i) {
+      const Vec3 point = offset_point(
+          center, rng.uniform_range(0.0, radius * 0.999),
+          rng.uniform_range(0.0, 360.0));
+      ASSERT_TRUE(ranges_cover(ranges, htm_id(point, depth)))
+          << "trial=" << trial << " radius=" << radius << " depth=" << depth;
+    }
+    ++cones;
+    if (radius > 90.0) ++wide;
+  }
+  EXPECT_GE(cones, 10'000);
+  EXPECT_GE(wide, 1'000);
+
+  // Exact-boundary radii on the octahedron's vertices, where every vertex
+  // distance is 0, 90 or 180 degrees.
+  for (const Vec3& center : {Vec3{1, 0, 0}, Vec3{0, 0, 1}, Vec3{0, -1, 0}}) {
+    for (const double radius : {0.0, 45.0, 90.0, 135.0, 180.0}) {
+      for (const int depth : {4, 7}) {
+        const auto ranges = cone_cover(center, radius, depth);
+        const auto expected = angle_oracle::cone_cover(center, radius, depth);
+        ASSERT_EQ(ranges.size(), expected.size()) << "radius=" << radius;
+        for (size_t i = 0; i < ranges.size(); ++i) {
+          EXPECT_EQ(ranges[i].first, expected[i].first) << "radius=" << radius;
+          EXPECT_EQ(ranges[i].last, expected[i].last) << "radius=" << radius;
+        }
       }
     }
   }

@@ -255,6 +255,189 @@ TEST_F(SnapshotTest, ChunkPredatingIndexFailsClosed) {
   EXPECT_EQ(pk->size(), 12u);
 }
 
+// A long chain — one chunk per commit — whose chunks' key spans are
+// disjoint, touching and interleaved, on both the PK and the secondary.
+// Snapshot reads skip a chunk whose span misses the range; every read must
+// still equal the quiesced live read, at span edges and in the gaps.
+TEST_F(SnapshotTest, LongChainReadsMatchLiveAtEverySpanEdge) {
+  // Commit (pk, batch_id) rows as one transaction; row path or columnar.
+  int64_t seq = 0;
+  const auto commit_rows =
+      [&](const std::vector<std::pair<int64_t, int64_t>>& rows,
+          bool columnar) {
+        const uint64_t txn = engine_.begin_transaction();
+        if (columnar) {
+          ColumnBatch batch(engine_.schema().table(table_));
+          for (const auto& [pk, batch_id] : rows) {
+            batch.push_i64(0, pk);
+            batch.push_i64(1, batch_id);
+            batch.push_i64(2, seq++);
+            batch.push_i64(3, 0);
+          }
+          const BatchResult result =
+              engine_.insert_column_batch(txn, table_, batch);
+          ASSERT_FALSE(result.error.has_value());
+        } else {
+          for (const auto& [pk, batch_id] : rows) {
+            OpCosts costs;
+            ASSERT_TRUE(engine_
+                            .insert_row(txn, table_,
+                                        batch_row(pk, batch_id, seq++, 0),
+                                        costs)
+                            .is_ok());
+          }
+        }
+        ASSERT_TRUE(engine_.commit(txn).is_ok());
+      };
+  int commits = 0;
+  // Disjoint: PK blocks 100 apart, one batch id each.
+  for (int64_t i = 0; i < 15; ++i) {
+    std::vector<std::pair<int64_t, int64_t>> rows;
+    for (int64_t k = 0; k < 8; ++k) rows.emplace_back(100 * i + k, i);
+    commit_rows(rows, i % 2 == 0);
+    ++commits;
+  }
+  // Touching: consecutive PK blocks end to end, and each commit's last
+  // batch id is the next commit's first.
+  for (int64_t i = 0; i < 15; ++i) {
+    std::vector<std::pair<int64_t, int64_t>> rows;
+    for (int64_t k = 0; k < 8; ++k) {
+      rows.emplace_back(5000 + 8 * i + k, 100 + i + (k < 4 ? 0 : 1));
+    }
+    commit_rows(rows, i % 3 == 0);
+    ++commits;
+  }
+  // Interleaved: strided PKs, so every chunk's span overlaps the others'.
+  Rng rng(4242);
+  for (int64_t i = 0; i < 15; ++i) {
+    std::vector<std::pair<int64_t, int64_t>> rows;
+    for (int64_t k = 0; k < 8; ++k) {
+      rows.emplace_back(9000 + i + 16 * k, rng.uniform_int(0, 120));
+    }
+    commit_rows(rows, i % 2 == 1);
+    ++commits;
+  }
+  ASSERT_GE(commits, 40);
+
+  const Snapshot snap = engine_.pin_snapshot();
+  const ReadView live = engine_.live_view();
+  const ReadView pinned = engine_.view_at(snap);
+  ASSERT_EQ(pinned.row_count(table_), live.row_count(table_));
+
+  // Probe bounds: every span edge and its neighbours, gaps, and beyond.
+  std::set<int64_t> pk_points = {-5, 0, 9000, 9300, 20000};
+  for (int64_t i = 0; i < 15; ++i) {
+    for (const int64_t edge : {100 * i, 100 * i + 7, 5000 + 8 * i,
+                               5000 + 8 * i + 7, 9000 + i, 9000 + i + 112}) {
+      pk_points.insert({edge - 1, edge, edge + 1});
+    }
+  }
+  std::set<int64_t> batch_points = {-1, 0};
+  for (int64_t b = 0; b <= 130; b += 3) batch_points.insert({b, b + 1});
+
+  const auto encode = [](int64_t v) {
+    index::KeyEncoder enc;
+    enc.append_int64(v);
+    return enc.take();
+  };
+  const auto same = [](const Result<std::vector<Row>>& a,
+                       const Result<std::vector<Row>>& b) {
+    return a.is_ok() && b.is_ok() && *a == *b;
+  };
+  int64_t rows_seen = 0;
+  for (const int64_t lo : pk_points) {
+    for (const int64_t hi : {lo, lo + 1, lo + 8, lo + 150, lo + 5000}) {
+      const auto expected =
+          live.pk_range(table_, {Value::i64(lo)}, {Value::i64(hi)});
+      ASSERT_TRUE(expected.is_ok());
+      rows_seen += static_cast<int64_t>(expected->size());
+      EXPECT_TRUE(same(
+          expected, pinned.pk_range(table_, {Value::i64(lo)}, {Value::i64(hi)})))
+          << "pk [" << lo << ", " << hi << ")";
+      EXPECT_TRUE(same(expected,
+                       pinned.pk_encoded_range(table_, encode(lo), encode(hi))))
+          << "encoded pk [" << lo << ", " << hi << ")";
+    }
+    EXPECT_TRUE(same(live.pk_range(table_, {Value::i64(lo)}, {}),
+                     pinned.pk_range(table_, {Value::i64(lo)}, {})))
+        << "pk [" << lo << ", inf)";
+    EXPECT_TRUE(same(live.pk_encoded_range(table_, encode(lo), ""),
+                     pinned.pk_encoded_range(table_, encode(lo), "")))
+        << "encoded pk [" << lo << ", inf)";
+    const auto live_row = live.pk_lookup(table_, {Value::i64(lo)});
+    const auto pinned_row = pinned.pk_lookup(table_, {Value::i64(lo)});
+    ASSERT_EQ(live_row.is_ok(), pinned_row.is_ok()) << "pk " << lo;
+    if (live_row.is_ok()) {
+      EXPECT_EQ(*live_row, *pinned_row) << "pk " << lo;
+    } else {
+      EXPECT_EQ(pinned_row.status().code(), ErrorCode::kNotFound);
+    }
+  }
+  for (const int64_t lo : batch_points) {
+    for (const int64_t hi : {lo, lo + 1, lo + 2, lo + 20, lo + 200}) {
+      const auto expected = live.index_range(table_, "ix_batch",
+                                             {Value::i64(lo)}, {Value::i64(hi)});
+      ASSERT_TRUE(expected.is_ok());
+      rows_seen += static_cast<int64_t>(expected->size());
+      EXPECT_TRUE(same(expected,
+                       pinned.index_range(table_, "ix_batch", {Value::i64(lo)},
+                                          {Value::i64(hi)})))
+          << "ix_batch [" << lo << ", " << hi << ")";
+      EXPECT_TRUE(same(expected, pinned.index_encoded_range(
+                                     table_, "ix_batch", encode(lo), encode(hi))))
+          << "encoded ix_batch [" << lo << ", " << hi << ")";
+    }
+    EXPECT_TRUE(same(
+        live.index_range(table_, "ix_batch", {Value::i64(lo)}, {}),
+        pinned.index_range(table_, "ix_batch", {Value::i64(lo)}, {})))
+        << "ix_batch [" << lo << ", inf)";
+    EXPECT_TRUE(same(
+        live.index_encoded_range(table_, "ix_batch", encode(lo), ""),
+        pinned.index_encoded_range(table_, "ix_batch", encode(lo), "")))
+        << "encoded ix_batch [" << lo << ", inf)";
+  }
+  EXPECT_GT(rows_seen, 0);
+}
+
+// The span skip comes after the fail-closed check: a chunk committed while
+// the index was disabled fails every snapshot read of that index, even one
+// whose range lies wholly outside the chunk's keys.
+TEST_F(SnapshotTest, IndexlessChunkFailsClosedOutsideItsSpan) {
+  commit_batch(0, 1, 4);
+  ASSERT_TRUE(engine_.set_index_enabled(table_, "ix_batch", false).is_ok());
+  commit_batch(100, 50, 4);  // batch 50, PKs 100..103: no ix_batch run
+  ASSERT_TRUE(engine_.set_index_enabled(table_, "ix_batch", true).is_ok());
+  ASSERT_TRUE(engine_.rebuild_index(table_, "ix_batch").is_ok());
+  commit_batch(200, 2, 4);
+
+  const Snapshot snap = engine_.pin_snapshot();
+  const ReadView pinned = engine_.view_at(snap);
+  index::KeyEncoder enc;
+  enc.append_int64(1);
+  const std::string lo = enc.take();
+  enc.clear();
+  enc.append_int64(3);
+  const std::string hi = enc.take();
+  EXPECT_EQ(pinned.index_range(table_, "ix_batch", {Value::i64(1)},
+                               {Value::i64(3)})
+                .status()
+                .code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(pinned.index_encoded_range(table_, "ix_batch", lo, hi)
+                .status()
+                .code(),
+            ErrorCode::kFailedPrecondition);
+  // PK reads that miss the index-less chunk's span, and point lookups on
+  // either side of it, are unaffected.
+  const auto pk = pinned.pk_range(table_, {Value::i64(0)}, {Value::i64(50)});
+  ASSERT_TRUE(pk.is_ok());
+  EXPECT_EQ(pk->size(), 4u);
+  EXPECT_TRUE(pinned.pk_lookup(table_, {Value::i64(101)}).is_ok());
+  EXPECT_TRUE(pinned.pk_lookup(table_, {Value::i64(203)}).is_ok());
+  EXPECT_EQ(pinned.pk_lookup(table_, {Value::i64(150)}).status().code(),
+            ErrorCode::kNotFound);
+}
+
 // Fail-closed symmetry: an index that cannot serve a read reports one
 // canonical code — kFailedPrecondition — on every secondary read spelling,
 // live or snapshot, value-tuple or encoded-key. The live reads fail because

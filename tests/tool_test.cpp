@@ -7,7 +7,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
+
+#include "htm/htm.h"
 
 namespace {
 
@@ -108,6 +112,65 @@ TEST_F(ToolTest, GenerateLintVerifyLoadRoundTrip) {
   EXPECT_NE(row_sized.output.find("ingest: columnar path, batch=40, array=1000"),
             std::string::npos)
       << row_sized.output;
+}
+
+// `cone` loads like `load` and queries a pinned snapshot: its match count
+// equals a brute-force distance count over every OBJ row of the night, and
+// it prints one line of per-stage wall times.
+TEST_F(ToolTest, ConeMatchesBruteForceCount) {
+  const auto generate = run_command(
+      tool_ + " generate --night 4 --megabytes 1 --seed 11 --out " +
+      dir_.string());
+  ASSERT_EQ(generate.exit_code, 0) << generate.output;
+
+  // (ra, dec) of every object, straight from the catalog text:
+  // OBJ|object_id|frame_id|ra|dec|...
+  std::vector<std::pair<double, double>> positions;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    std::ifstream in(entry.path());
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("OBJ|", 0) != 0) continue;
+      std::vector<std::string> fields;
+      std::stringstream stream(line);
+      for (std::string field; std::getline(stream, field, '|');) {
+        fields.push_back(field);
+      }
+      ASSERT_GE(fields.size(), 5u) << line;
+      positions.emplace_back(std::stod(fields[3]), std::stod(fields[4]));
+    }
+  }
+  ASSERT_FALSE(positions.empty());
+  const auto [ra, dec] = positions[positions.size() / 2];
+  const double radius = 0.3;
+  const sky::htm::Vec3 center = sky::htm::radec_to_vector(ra, dec);
+  long long expected = 0;
+  for (const auto& [obj_ra, obj_dec] : positions) {
+    if (sky::htm::angular_distance_deg(
+            center, sky::htm::radec_to_vector(obj_ra, obj_dec)) <= radius) {
+      ++expected;
+    }
+  }
+  ASSERT_GT(expected, 0);
+
+  char args[128];
+  std::snprintf(args, sizeof(args), " cone --ra %.17g --dec %.17g --radius %g ",
+                ra, dec, radius);
+  const auto cone =
+      run_command(tool_ + args + (dir_ / "*.cat").string());
+  ASSERT_EQ(cone.exit_code, 0) << cone.output;
+  const auto total = cone.output.find("total matches within");
+  ASSERT_NE(total, std::string::npos) << cone.output;
+  const auto colon = cone.output.find(": ", total);
+  ASSERT_NE(colon, std::string::npos) << cone.output;
+  EXPECT_EQ(std::stoll(cone.output.substr(colon + 2)), expected)
+      << cone.output;
+  EXPECT_NE(cone.output.find("cone stages (wall): cover "), std::string::npos)
+      << cone.output;
+  EXPECT_NE(cone.output.find(" ranges, range reads "), std::string::npos)
+      << cone.output;
+  EXPECT_NE(cone.output.find(" us, filter "), std::string::npos)
+      << cone.output;
 }
 
 TEST_F(ToolTest, LintFlagsDirtyFile) {

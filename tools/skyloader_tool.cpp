@@ -12,8 +12,10 @@
 //   verify    FILES...
 //             Load into a throwaway repository and run the deep integrity
 //             audit; exit nonzero on any inconsistency.
-//   cone      --ra RA --dec DEC --radius R FILES...
-//             Load, then run an HTM-index cone search and print matches.
+//   cone      --ra RA --dec DEC --radius R [--parallel P] FILES...
+//             Load as `load` does, then run an HTM-index cone search on a
+//             pinned snapshot; print the matches and each stage's wall
+//             time (cover, range reads, distance filter).
 //   lint      FILES...
 //             Parse-only structural check: per-tag row counts and the
 //             first parse errors, without touching a database.
@@ -25,6 +27,7 @@
 //
 // Everything is deterministic given --seed.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -101,7 +104,8 @@ int usage() {
       "  skyloader_tool load [--parallel P] [--batch B] [--array A]\n"
       "                 [--report out.md] FILES...\n"
       "  skyloader_tool verify FILES...\n"
-      "  skyloader_tool cone --ra RA --dec DEC --radius R FILES...\n"
+      "  skyloader_tool cone --ra RA --dec DEC --radius R [--parallel P] "
+      "FILES...\n"
       "  skyloader_tool lint FILES...\n"
       "  skyloader_tool query --sql QUERY FILES...\n"
       "  skyloader_tool recover --wal FILE.wal\n");
@@ -221,6 +225,21 @@ Result<core::ParallelLoadReport> load_into(db::Engine& engine,
       options);
 }
 
+// Loader options of the production profile, as `load`, `verify` and `cone`
+// run them: --parallel sets the degree; --batch / --array override the
+// profile's sizes only when given.
+core::CoordinatorOptions production_load_options(
+    const Args& args, const core::TuningProfile& profile) {
+  core::CoordinatorOptions options;
+  options.parallel_degree = static_cast<int>(opt_int(args, "parallel", 4));
+  options.loader = profile.bulk_options();
+  options.loader.batch_size =
+      opt_int(args, "batch", options.loader.batch_size);
+  options.loader.array_config.default_rows =
+      opt_int(args, "array", options.loader.array_config.default_rows);
+  return options;
+}
+
 int cmd_load(const Args& args, bool verify_only) {
   if (args.positional.empty()) return usage();
   const db::Schema schema = catalog::make_pq_schema();
@@ -236,15 +255,8 @@ int cmd_load(const Args& args, bool verify_only) {
     std::fprintf(stderr, "%s\n", files.status().to_string().c_str());
     return 1;
   }
-  core::CoordinatorOptions options;
-  options.parallel_degree = static_cast<int>(opt_int(args, "parallel", 4));
-  // The loader follows the production profile; --batch / --array override
-  // its sizes only when given.
-  options.loader = profile.bulk_options();
-  options.loader.batch_size =
-      opt_int(args, "batch", options.loader.batch_size);
-  options.loader.array_config.default_rows =
-      opt_int(args, "array", options.loader.array_config.default_rows);
+  const core::CoordinatorOptions options =
+      production_load_options(args, profile);
   std::printf("ingest: %s path, batch=%lld, array=%lld\n",
               options.loader.columnar_ingest ? "columnar" : "row",
               static_cast<long long>(options.loader.batch_size),
@@ -302,14 +314,18 @@ int cmd_cone(const Args& args) {
   const double dec = opt_double(args, "dec", 0);
   const double radius = opt_double(args, "radius", 0.5);
 
+  // The repository `load` builds: production engine, index policy and
+  // loader options.
   const db::Schema schema = catalog::make_pq_schema();
-  db::Engine engine(schema);
+  const core::TuningProfile profile = core::TuningProfile::production();
+  db::Engine engine(schema, profile.engine_options());
+  if (!profile.apply_index_policy(engine).is_ok()) return 1;
   auto files = read_files(args.positional);
   if (!files.is_ok()) {
     std::fprintf(stderr, "%s\n", files.status().to_string().c_str());
     return 1;
   }
-  core::CoordinatorOptions options;
+  core::CoordinatorOptions options = production_load_options(args, profile);
   options.loader.write_audit_row = false;
   const auto report = load_into(engine, schema, std::move(*files), options);
   if (!report.is_ok()) {
@@ -318,33 +334,62 @@ int cmd_cone(const Args& args) {
     return 1;
   }
   const uint32_t objects = engine.table_id("objects").value();
+  const db::TableDef& def = schema.table(objects);
+  const auto object_col = static_cast<size_t>(def.column_index("object_id"));
+  const auto ra_col = static_cast<size_t>(def.column_index("ra"));
+  const auto dec_col = static_cast<size_t>(def.column_index("dec"));
+  const auto mag_col = static_cast<size_t>(def.column_index("mag"));
+
+  // Cover -> one index range read per trixel range on a pinned snapshot ->
+  // exact-distance filter, each stage timed.
+  using Clock = std::chrono::steady_clock;
+  const auto micros_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - start)
+        .count();
+  };
+  const db::Snapshot snap = engine.pin_snapshot();
+  const db::ReadView view = engine.view_at(snap);
   const htm::Vec3 center = htm::radec_to_vector(ra, dec);
+  auto start = Clock::now();
+  const std::vector<htm::IdRange> cover =
+      htm::cone_cover(center, radius, catalog::CatalogParser::kHtmDepth);
+  const double cover_us = micros_since(start);
+  double read_us = 0;
+  double filter_us = 0;
   int64_t matches = 0;
-  for (const htm::IdRange& range :
-       htm::cone_cover(center, radius, catalog::CatalogParser::kHtmDepth)) {
-    const auto rows = engine.live_view().index_range(
+  std::vector<db::Row> shown;  // the first matches, printed after timing
+  for (const htm::IdRange& range : cover) {
+    start = Clock::now();
+    const auto rows = view.index_range(
         objects, catalog::kIndexHtmid,
         {db::Value::i64(static_cast<int64_t>(range.first))},
         {db::Value::i64(static_cast<int64_t>(range.last))});
+    read_us += micros_since(start);
     if (!rows.is_ok()) {
       std::fprintf(stderr, "%s\n", rows.status().to_string().c_str());
       return 1;
     }
+    start = Clock::now();
     for (const db::Row& row : *rows) {
       if (htm::angular_distance_deg(
-              center, htm::radec_to_vector(row[2].as_f64(),
-                                           row[3].as_f64())) <= radius) {
-        if (matches < 20) {
-          std::printf("object %s ra=%.5f dec=%.5f mag=%.2f\n",
-                      row[0].to_display().c_str(), row[2].as_f64(),
-                      row[3].as_f64(), row[4].as_f64());
-        }
+              center, htm::radec_to_vector(row[ra_col].as_f64(),
+                                           row[dec_col].as_f64())) <= radius) {
+        if (shown.size() < 20) shown.push_back(row);
         ++matches;
       }
     }
+    filter_us += micros_since(start);
+  }
+  for (const db::Row& row : shown) {
+    std::printf("object %s ra=%.5f dec=%.5f mag=%.2f\n",
+                row[object_col].to_display().c_str(), row[ra_col].as_f64(),
+                row[dec_col].as_f64(), row[mag_col].as_f64());
   }
   std::printf("total matches within %.3f deg of (%.4f, %.4f): %lld\n", radius,
               ra, dec, static_cast<long long>(matches));
+  std::printf("cone stages (wall): cover %.1f us, %zu ranges, range reads "
+              "%.1f us, filter %.1f us\n",
+              cover_us, cover.size(), read_us, filter_us);
   return 0;
 }
 
